@@ -188,40 +188,10 @@ func derivedRatios(results []benchart.Result) map[string]float64 {
 			"BenchmarkTwitter_CC_Boxed", "BenchmarkTwitter_CC"},
 		"columnar_speedup_pagerank": {
 			"BenchmarkTwitter_PR_Boxed", "BenchmarkTwitter_PR"},
-		// PR 10: raw columnar wire vs the gob fallback, micro (state and
-		// adjacency payload encode/decode) and end-to-end (proc-mode CC
-		// and PageRank with a per-superstep checkpoint).
-		"wire_state_encode_speedup": {
-			"BenchmarkWireEncodeState_Gob", "BenchmarkWireEncodeState_Raw"},
-		"wire_state_decode_speedup": {
-			"BenchmarkWireDecodeState_Gob", "BenchmarkWireDecodeState_Raw"},
-		"wire_adj_encode_speedup": {
-			"BenchmarkWireEncodeAdj_Gob", "BenchmarkWireEncodeAdj_Raw"},
-		"wire_adj_decode_speedup": {
-			"BenchmarkWireDecodeAdj_Gob", "BenchmarkWireDecodeAdj_Raw"},
-		"proc_e2e_speedup_cc": {
-			"BenchmarkProcCC_Gob", "BenchmarkProcCC_Raw"},
-		"proc_e2e_speedup_pagerank": {
-			"BenchmarkProcPageRank_Gob", "BenchmarkProcPageRank_Raw"},
-	}
-	allocPairs := map[string][2]string{
-		"wire_state_encode_allocs_ratio": {
-			"BenchmarkWireEncodeState_Gob", "BenchmarkWireEncodeState_Raw"},
-		"wire_state_decode_allocs_ratio": {
-			"BenchmarkWireDecodeState_Gob", "BenchmarkWireDecodeState_Raw"},
-		"wire_adj_encode_allocs_ratio": {
-			"BenchmarkWireEncodeAdj_Gob", "BenchmarkWireEncodeAdj_Raw"},
-		"wire_adj_decode_allocs_ratio": {
-			"BenchmarkWireDecodeAdj_Gob", "BenchmarkWireDecodeAdj_Raw"},
 	}
 	derived := make(map[string]float64)
 	for name, p := range pairs {
 		if r, ok := benchart.Ratio(results, p[0], p[1]); ok {
-			derived[name] = r
-		}
-	}
-	for name, p := range allocPairs {
-		if r, ok := benchart.AllocRatio(results, p[0], p[1]); ok {
 			derived[name] = r
 		}
 	}

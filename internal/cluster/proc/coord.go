@@ -81,12 +81,6 @@ type Config struct {
 	// ceiling clamp to it). Oversized frames fail with a typed
 	// *wire.SizeError instead of an unbounded allocation.
 	MaxFrameBytes int
-	// GobPayloads forces the listed payload kinds ("step", "state",
-	// "load", "snapshot") onto the gob fallback codec instead of the
-	// raw columnar encoding — the comparison and escape hatch;
-	// everything raw-capable defaults to raw. "state" also routes bulk
-	// state over the legacy ctrl path instead of the data plane.
-	GobPayloads []string
 	// NetFault, when set, routes every worker connection through the
 	// fault-injecting network layer.
 	NetFault *netfault.Network
@@ -177,12 +171,12 @@ type rpcConn struct {
 	nc      net.Conn
 	swapped chan struct{} // closed when nc is replaced by a reconnect
 
-	timeout time.Duration   // per-attempt deadline
-	backoff time.Duration   // initial retry backoff
-	grace   time.Duration   // total retry budget
-	gone    <-chan struct{} // closed when the worker is condemned/reaped
-	onRetry func()          // observability hook, called per extra attempt
-	wc      *wireCfg        // codec policy and frame cap
+	timeout  time.Duration   // per-attempt deadline
+	backoff  time.Duration   // initial retry backoff
+	grace    time.Duration   // total retry budget
+	gone     <-chan struct{} // closed when the worker is condemned/reaped
+	onRetry  func()          // observability hook, called per extra attempt
+	maxFrame int             // frame payload cap (Config.MaxFrameBytes)
 
 	nextID uint64
 }
@@ -223,11 +217,11 @@ func (r *rpcConn) close() {
 // network duplicates) and are discarded.
 func (r *rpcConn) attempt(nc net.Conn, id uint64, req any) (any, error) {
 	nc.SetDeadline(time.Now().Add(r.timeout))
-	if err := writeFrameCfg(nc, id, req, r.wc); err != nil {
+	if err := writeFrame(nc, id, req, r.maxFrame); err != nil {
 		return nil, err
 	}
 	for {
-		rid, m, err := readFrameCfg(nc, r.wc)
+		rid, m, err := readFrame(nc, r.maxFrame)
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +383,6 @@ type Coordinator struct {
 	ln    net.Listener
 	addr  string
 	token string
-	wc    *wireCfg
 
 	mu            sync.Mutex
 	alive         map[int]bool
@@ -429,10 +422,6 @@ func Start(cfg Config) (*Coordinator, error) {
 	if cfg.Partitions < 1 {
 		return nil, fmt.Errorf("proc: need at least one partition, got %d", cfg.Partitions)
 	}
-	gobKinds, err := parseGobPayloads(cfg.GobPayloads)
-	if err != nil {
-		return nil, err
-	}
 	tok := make([]byte, 16)
 	if _, err := rand.Read(tok); err != nil {
 		return nil, fmt.Errorf("proc: token: %v", err)
@@ -446,7 +435,6 @@ func Start(cfg Config) (*Coordinator, error) {
 		ln:       ln,
 		addr:     ln.Addr().String(),
 		token:    hex.EncodeToString(tok),
-		wc:       &wireCfg{maxFrame: cfg.MaxFrameBytes, gobKinds: gobKinds},
 		alive:    make(map[int]bool),
 		released: make(map[int]bool),
 		owner:    make([]int, cfg.Partitions),
@@ -522,7 +510,7 @@ func (c *Coordinator) wrapConn(w int, nc net.Conn) net.Conn {
 // cannot write into the job.
 func (c *Coordinator) handleConn(nc net.Conn) {
 	nc.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
-	m, err := readFrame(nc)
+	_, m, err := readFrame(nc, c.cfg.MaxFrameBytes)
 	if err != nil {
 		nc.Close()
 		return
@@ -537,7 +525,7 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 		}
 	}
 	if !ok || hello.Proto != ProtoVersion || hello.Token != c.token || !validRole {
-		writeFrame(nc, ErrResp{Msg: "handshake rejected"})
+		writeFrame(nc, 0, ErrResp{Msg: "handshake rejected"}, c.cfg.MaxFrameBytes)
 		nc.Close()
 		return
 	}
@@ -550,7 +538,7 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 
 	if ch := c.takeWaiter(connKey{worker: hello.Worker, role: hello.Conn}); ch != nil {
 		// A spawner is waiting for this connection: first contact.
-		if err := writeFrame(nc, HelloOK{Proto: ProtoVersion}); err != nil {
+		if err := writeFrame(nc, 0, HelloOK{Proto: ProtoVersion}, c.cfg.MaxFrameBytes); err != nil {
 			nc.Close()
 			return
 		}
@@ -573,11 +561,11 @@ func (c *Coordinator) handleConn(nc net.Conn) {
 	}
 	c.mu.Unlock()
 	if !admit {
-		writeFrame(nc, ErrResp{Msg: "fenced: worker is no longer a member"})
+		writeFrame(nc, 0, ErrResp{Msg: "fenced: worker is no longer a member"}, c.cfg.MaxFrameBytes)
 		nc.Close()
 		return
 	}
-	if err := writeFrame(nc, HelloOK{Proto: ProtoVersion}); err != nil {
+	if err := writeFrame(nc, 0, HelloOK{Proto: ProtoVersion}, c.cfg.MaxFrameBytes); err != nil {
 		nc.Close()
 		return
 	}
@@ -739,14 +727,14 @@ func (c *Coordinator) spawnWorker(w int) (*workerProc, error) {
 		p.data = newDataPlane(dataConns)
 	}
 	p.ctrl = &rpcConn{
-		sem:     make(chan struct{}, 1),
-		nc:      conns[ConnCtrl],
-		swapped: make(chan struct{}),
-		timeout: c.cfg.CallTimeout,
-		backoff: c.cfg.RetryBackoff,
-		grace:   c.cfg.SuspicionGrace,
-		gone:    p.gone,
-		wc:      c.wc,
+		sem:      make(chan struct{}, 1),
+		nc:       conns[ConnCtrl],
+		swapped:  make(chan struct{}),
+		timeout:  c.cfg.CallTimeout,
+		backoff:  c.cfg.RetryBackoff,
+		grace:    c.cfg.SuspicionGrace,
+		gone:     p.gone,
+		maxFrame: c.cfg.MaxFrameBytes,
 		onRetry: func() {
 			c.mu.Lock()
 			c.statRetries++
@@ -800,7 +788,7 @@ func (c *Coordinator) reap(p *workerProc) {
 // suspicion.
 func (c *Coordinator) readBeats(p *workerProc, nc net.Conn) {
 	for {
-		m, err := readFrame(nc)
+		_, m, err := readFrame(nc, c.cfg.MaxFrameBytes)
 		if err != nil {
 			c.mu.Lock()
 			// Only suspect if this stream is still the worker's current

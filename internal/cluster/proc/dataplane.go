@@ -29,8 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"optiflow/internal/cluster/proc/wire"
 )
 
 // dataPlane is one worker's pool of data connections on the
@@ -153,12 +151,10 @@ type dataAppError struct{ msg string }
 
 func (e *dataAppError) Error() string { return e.msg }
 
-// dataEnabled reports whether bulk state moves over the data plane:
-// pools exist and the state payload kind is not on the gob fallback
-// (the fallback selects the legacy monolithic ctrl-RPC path wholesale,
-// which is what a gob-vs-raw comparison wants to measure).
+// dataEnabled reports whether bulk state moves over the data plane
+// (pools exist) rather than over monolithic ctrl RPCs.
 func (c *Coordinator) dataEnabled() bool {
-	return c.cfg.DataConns > 0 && !c.wc.forceGob(wire.KFetchResp)
+	return c.cfg.DataConns > 0
 }
 
 // dataTransfer runs fn against the worker's data plane with whole-
@@ -218,12 +214,12 @@ func (c *Coordinator) dataFetch(p *workerProc, parts []int) ([]PartState, error)
 		seq := uint32(0)
 		nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 		req := DataFetchReq{Stream: stream, ChunkVerts: c.cfg.ChunkVertices, Parts: parts}
-		if err := writeFrameCfg(nc, 0, req, c.wc); err != nil {
+		if err := writeFrame(nc, 0, req, c.cfg.MaxFrameBytes); err != nil {
 			return err
 		}
 		for {
 			nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-			_, m, err := readFrameCfg(nc, c.wc)
+			_, m, err := readFrame(nc, c.cfg.MaxFrameBytes)
 			if err != nil {
 				return err
 			}
@@ -283,7 +279,7 @@ func (c *Coordinator) dataRestore(p *workerProc, parts []PartState) error {
 	return c.dataTransfer(p, func(nc net.Conn) error {
 		stream := streamSeq.Add(1)
 		nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-		if err := writeFrameCfg(nc, 0, DataRestoreReq{Stream: stream}, c.wc); err != nil {
+		if err := writeFrame(nc, 0, DataRestoreReq{Stream: stream}, c.cfg.MaxFrameBytes); err != nil {
 			return err
 		}
 		seq := uint32(0)
@@ -291,13 +287,13 @@ func (c *Coordinator) dataRestore(p *workerProc, parts []PartState) error {
 			nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 			ch := DataChunk{Stream: stream, Seq: seq, Done: done, Parts: frag}
 			seq++
-			return writeFrameCfg(nc, 0, ch, c.wc)
+			return writeFrame(nc, 0, ch, c.cfg.MaxFrameBytes)
 		})
 		if err != nil {
 			return err
 		}
 		nc.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-		_, m, err := readFrameCfg(nc, c.wc)
+		_, m, err := readFrame(nc, c.cfg.MaxFrameBytes)
 		if err != nil {
 			return err
 		}

@@ -2,13 +2,11 @@ package proc
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
-	"optiflow/internal/cluster/proc/wire"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/iterate"
@@ -330,9 +328,8 @@ func (j *Job) Name() string { return j.spec.Name }
 // SnapshotTo implements recovery.Job: it fetches every partition's
 // committed state from its owner — over the chunked data plane when
 // enabled — and serialises it together with the driver-side message
-// state, raw columnar by default (gob via Config.GobPayloads
-// "snapshot"). Partitions and messages are sorted, so equal
-// distributed states snapshot to equal bytes.
+// state as a raw snapshot blob. Partitions and messages are sorted, so
+// equal distributed states snapshot to equal bytes.
 func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 	snap := JobSnapshot{
 		Kind:      j.spec.Kind,
@@ -364,12 +361,6 @@ func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 			snap.Inbox = append(snap.Inbox, PartMsgs{Part: p, Msgs: j.inbox[p]})
 		}
 	}
-	if j.co.wc.forceGob(wire.KSnapshot) {
-		if err := gob.NewEncoder(w).Encode(snap); err != nil {
-			return fmt.Errorf("proc: snapshot: encoding: %v", err)
-		}
-		return nil
-	}
 	w.Write(appendSnapshot(nil, snap))
 	return nil
 }
@@ -377,17 +368,11 @@ func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 // RestoreFrom implements recovery.Job: it pushes the snapshot's
 // partition state back to the partitions' current owners — over the
 // chunked data plane when enabled — and restores the driver-side
-// message state. The blob's codec is sniffed from its magic, so
-// checkpoints written by either codec restore under any policy.
+// message state. A blob that is not a raw snapshot is an error.
 func (j *Job) RestoreFrom(data []byte) error {
-	var snap JobSnapshot
-	if isRawSnapshot(data) {
-		var err error
-		if snap, err = decodeSnapshot(data); err != nil {
-			return fmt.Errorf("proc: restore: %v", err)
-		}
-	} else if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("proc: restore: decoding: %v", err)
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return fmt.Errorf("proc: restore: %v", err)
 	}
 	byPart := make(map[int]PartState, len(snap.Parts))
 	for _, ps := range snap.Parts {

@@ -15,6 +15,7 @@ import (
 	"optiflow/internal/supervise"
 
 	"optiflow/internal/cluster/proc/netfault"
+	"optiflow/internal/cluster/proc/wire"
 )
 
 // netScript is a failure.Injector that delivers scripted NETWORK
@@ -71,11 +72,11 @@ func TestHandshakeDeadlineFromConfig(t *testing.T) {
 	defer nc2.Close()
 	time.Sleep(200 * time.Millisecond)
 	hello := Hello{Proto: ProtoVersion, Worker: 0, Token: "wrong-token", Conn: ConnCtrl}
-	if err := writeFrame(nc2, hello); err != nil {
+	if err := writeFrame(nc2, 0, hello, wire.MaxFrame); err != nil {
 		t.Fatalf("writing slow hello: %v", err)
 	}
 	nc2.SetReadDeadline(time.Now().Add(2 * time.Second))
-	m, err := readFrame(nc2)
+	_, m, err := readFrame(nc2, wire.MaxFrame)
 	if err != nil {
 		t.Fatalf("reading handshake response: %v", err)
 	}

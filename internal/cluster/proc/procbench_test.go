@@ -1,12 +1,9 @@
 package proc
 
-// procbench_test.go measures the end-to-end effect of the raw columnar
-// wire on real worker processes: Connected Components and PageRank
-// jobs running with a per-superstep checkpoint (so bulk state crosses
-// the wire every round), once with the default raw encoding and data
-// plane, once with every payload kind forced back onto gob (which also
-// reverts state migration to the monolithic ctrl RPC). BENCH_PR10.json
-// derives the proc_e2e_speedup_* ratios from these four benchmarks.
+// procbench_test.go measures the wire end to end on real worker
+// processes: Connected Components and PageRank jobs running with a
+// per-superstep checkpoint, so bulk state crosses the wire and the
+// data plane every round.
 
 import (
 	"testing"
@@ -18,21 +15,16 @@ import (
 	"optiflow/internal/recovery"
 )
 
-// allGobPayloads routes every hot payload kind through the gob
-// fallback, recreating the pre-PR-10 wire end to end.
-var allGobPayloads = []string{PayloadStep, PayloadState, PayloadLoad, PayloadSnapshot}
-
 // startBenchCluster boots a coordinator for a benchmark, outside the
 // timed region. Benchmarks share the test binary's child-process
 // re-exec hook, so worker processes are real.
-func startBenchCluster(b *testing.B, workers, partitions int, gobPayloads []string) *Coordinator {
+func startBenchCluster(b *testing.B, workers, partitions int) *Coordinator {
 	b.Helper()
 	co, err := Start(Config{
 		Workers:     workers,
 		Partitions:  partitions,
 		Heartbeat:   50 * time.Millisecond,
 		CallTimeout: 30 * time.Second,
-		GobPayloads: gobPayloads,
 	})
 	if err != nil {
 		b.Fatalf("Start: %v", err)
@@ -41,12 +33,12 @@ func startBenchCluster(b *testing.B, workers, partitions int, gobPayloads []stri
 	return co
 }
 
-// benchProcCC runs Connected Components to the fixpoint with a
+// BenchmarkProcCC_Raw runs Connected Components to the fixpoint with a
 // checkpoint every superstep, so each round ships full partition state
 // coordinator-ward over the wire under measurement.
-func benchProcCC(b *testing.B, gobPayloads []string) {
+func BenchmarkProcCC_Raw(b *testing.B) {
 	g := gen.Components(4, 2000, 0.002, 7)
-	co := startBenchCluster(b, 3, 6, gobPayloads)
+	co := startBenchCluster(b, 3, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job, err := NewJob(co, Spec{Name: "bench-cc", Kind: KindCC, Graph: g})
@@ -67,11 +59,11 @@ func benchProcCC(b *testing.B, gobPayloads []string) {
 	}
 }
 
-// benchProcPageRank runs a fixed number of PageRank supersteps on a
+// BenchmarkProcPageRank_Raw runs a fixed number of PageRank supersteps on a
 // scale-free graph, checkpointing every superstep.
-func benchProcPageRank(b *testing.B, gobPayloads []string) {
+func BenchmarkProcPageRank_Raw(b *testing.B) {
 	g := gen.Twitter(8000, 11)
-	co := startBenchCluster(b, 3, 6, gobPayloads)
+	co := startBenchCluster(b, 3, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job, err := NewJob(co, Spec{Name: "bench-pr", Kind: KindPageRank, Graph: g})
@@ -91,8 +83,3 @@ func benchProcPageRank(b *testing.B, gobPayloads []string) {
 		}
 	}
 }
-
-func BenchmarkProcCC_Raw(b *testing.B)       { benchProcCC(b, nil) }
-func BenchmarkProcCC_Gob(b *testing.B)       { benchProcCC(b, allGobPayloads) }
-func BenchmarkProcPageRank_Raw(b *testing.B) { benchProcPageRank(b, nil) }
-func BenchmarkProcPageRank_Gob(b *testing.B) { benchProcPageRank(b, allGobPayloads) }

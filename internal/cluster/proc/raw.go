@@ -1,20 +1,23 @@
 package proc
 
-// raw.go is the proc half of the columnar wire fast path: per-message
-// encoders and decoders composing the column segments of
-// internal/colbytes under the frame format of
-// internal/cluster/proc/wire. Hot-path payloads — superstep data,
-// partition state, the checkpoint snapshot blob and the data-plane
-// stream messages — encode as struct-of-arrays columns: one loop per
-// field over all elements of all partitions, so a StepReq's inbox hits
-// the wire as three flat little-endian arrays instead of a gob
-// reflection walk. Decoders allocate one exactly-sized arena per
-// section and sub-slice it per partition, so a frame decode costs O(1)
-// allocations regardless of partition count and nothing aliases the
-// (pooled) receive buffer.
+// raw.go is the proc half of the wire format: per-message encoders and
+// decoders composing the column segments of internal/colbytes under
+// the frame format of internal/cluster/proc/wire. Control messages
+// are a handful of scalars and strings; hot-path payloads — superstep
+// data, partition state, the checkpoint snapshot blob and the
+// data-plane stream messages — encode as struct-of-arrays columns: one
+// loop per field over all elements of all partitions, so a StepReq's
+// inbox hits the wire as three flat little-endian arrays. Decoders
+// allocate one exactly-sized arena per section and sub-slice it per
+// partition, so a frame decode costs O(1) allocations regardless of
+// partition count and nothing aliases the (pooled) receive buffer.
+// Every count read from the wire is checked against the bytes
+// remaining by division, never by a multiplication that could
+// overflow, before anything is allocated.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -22,46 +25,53 @@ import (
 	"optiflow/internal/colbytes"
 )
 
-// rawKindOf maps a message to its raw payload kind. Messages without a
-// kind only travel as gob (control frames).
-func rawKindOf(m any) (byte, bool) {
-	switch m.(type) {
-	case StepReq:
-		return wire.KStepReq, true
-	case StepResp:
-		return wire.KStepResp, true
-	case FetchResp:
-		return wire.KFetchResp, true
-	case RestoreReq:
-		return wire.KRestoreReq, true
-	case LoadReq:
-		return wire.KLoadReq, true
-	case DataFetchReq:
-		return wire.KDataFetch, true
-	case DataRestoreReq:
-		return wire.KDataRestore, true
-	case DataChunk:
-		return wire.KDataChunk, true
-	case DataAck:
-		return wire.KDataAck, true
-	case DataErr:
-		return wire.KDataErr, true
-	}
-	return 0, false
+// kindNames names every payload kind, indexed by kind byte; an empty
+// entry is not a kind. It is the registry diagnostics and the
+// compatibility suite enumerate.
+var kindNames = [...]string{
+	wire.KStepReq:     "StepReq",
+	wire.KStepResp:    "StepResp",
+	wire.KFetchResp:   "FetchResp",
+	wire.KRestoreReq:  "RestoreReq",
+	wire.KLoadReq:     "LoadReq",
+	wire.KDataFetch:   "DataFetchReq",
+	wire.KDataRestore: "DataRestoreReq",
+	wire.KDataChunk:   "DataChunk",
+	wire.KDataAck:     "DataAck",
+	wire.KDataErr:     "DataErr",
+	wire.KHello:       "Hello",
+	wire.KHelloOK:     "HelloOK",
+	wire.KHeartbeat:   "Heartbeat",
+	wire.KOKResp:      "OKResp",
+	wire.KErrResp:     "ErrResp",
+	wire.KPingReq:     "PingReq",
+	wire.KCommitReq:   "CommitReq",
+	wire.KAbortReq:    "AbortReq",
+	wire.KFetchReq:    "FetchReq",
+	wire.KClearReq:    "ClearReq",
+	wire.KResetReq:    "ResetReq",
+	wire.KShutdownReq: "ShutdownReq",
+	wire.KStatsReq:    "StatsReq",
+	wire.KWorkerStats: "WorkerStats",
 }
 
-// appendRawPayload appends the complete raw payload (codec tag, raw
-// header, body) for a message of the given kind.
-func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
-	dst = append(dst, wire.CodecRaw, wire.Version, kind)
+// appendRawPayload appends the complete raw payload (codec tag,
+// version, kind, token, body) for m. A message type with no kind is an
+// error, and dst comes back unchanged.
+func appendRawPayload(dst []byte, id uint64, m any) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, wire.CodecRaw, wire.Version, 0)
 	dst = colbytes.AppendU64(dst, id)
+	var kind byte
 	switch r := m.(type) {
 	case StepReq:
+		kind = wire.KStepReq
 		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
 		dst = colbytes.AppendBool(dst, r.Rescatter)
 		dst = colbytes.AppendF64(dst, r.Dangling)
 		dst = appendMsgSection(dst, r.Inbox)
 	case StepResp:
+		kind = wire.KStepResp
 		dst = appendMsgSection(dst, r.Outbox)
 		dst = colbytes.AppendF64(dst, r.Dangling)
 		dst = colbytes.AppendF64(dst, r.L1)
@@ -69,10 +79,13 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 		dst = colbytes.AppendU64(dst, uint64(r.Messages))
 		dst = colbytes.AppendU64(dst, uint64(r.Updates))
 	case FetchResp:
+		kind = wire.KFetchResp
 		dst = appendStateSection(dst, r.Parts)
 	case RestoreReq:
+		kind = wire.KRestoreReq
 		dst = appendStateSection(dst, r.Parts)
 	case LoadReq:
+		kind = wire.KLoadReq
 		dst = colbytes.AppendString(dst, r.Job)
 		dst = colbytes.AppendString(dst, r.Kind)
 		dst = colbytes.AppendU32(dst, uint32(r.NumPartitions))
@@ -80,30 +93,78 @@ func appendRawPayload(dst []byte, kind byte, id uint64, m any) []byte {
 		dst = colbytes.AppendF64(dst, r.Damping)
 		dst = appendAdjSection(dst, r.Parts)
 	case DataFetchReq:
+		kind = wire.KDataFetch
 		dst = colbytes.AppendU64(dst, r.Stream)
 		dst = colbytes.AppendU32(dst, uint32(r.ChunkVerts))
-		dst = colbytes.AppendU32(dst, uint32(len(r.Parts)))
-		for _, p := range r.Parts {
-			dst = colbytes.AppendU32(dst, uint32(p))
-		}
+		dst = appendPartIDs(dst, r.Parts)
 	case DataRestoreReq:
+		kind = wire.KDataRestore
 		dst = colbytes.AppendU64(dst, r.Stream)
 	case DataChunk:
+		kind = wire.KDataChunk
 		dst = colbytes.AppendU64(dst, r.Stream)
 		dst = colbytes.AppendU32(dst, r.Seq)
 		dst = colbytes.AppendBool(dst, r.Done)
 		dst = appendStateSection(dst, r.Parts)
 	case DataAck:
+		kind = wire.KDataAck
 		dst = colbytes.AppendU64(dst, r.Stream)
 	case DataErr:
+		kind = wire.KDataErr
 		dst = colbytes.AppendU64(dst, r.Stream)
 		dst = colbytes.AppendString(dst, r.Msg)
+	case Hello:
+		kind = wire.KHello
+		dst = colbytes.AppendU32(dst, uint32(r.Proto))
+		dst = colbytes.AppendU32(dst, uint32(r.Worker))
+		dst = colbytes.AppendString(dst, r.Token)
+		dst = colbytes.AppendString(dst, r.Conn)
+	case HelloOK:
+		kind = wire.KHelloOK
+		dst = colbytes.AppendU32(dst, uint32(r.Proto))
+	case Heartbeat:
+		kind = wire.KHeartbeat
+		dst = colbytes.AppendU32(dst, uint32(r.Worker))
+		dst = colbytes.AppendU64(dst, r.Seq)
+	case OKResp:
+		kind = wire.KOKResp
+	case ErrResp:
+		kind = wire.KErrResp
+		dst = colbytes.AppendString(dst, r.Msg)
+	case PingReq:
+		kind = wire.KPingReq
+	case CommitReq:
+		kind = wire.KCommitReq
+		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
+	case AbortReq:
+		kind = wire.KAbortReq
+	case FetchReq:
+		kind = wire.KFetchReq
+		dst = appendPartIDs(dst, r.Parts)
+	case ClearReq:
+		kind = wire.KClearReq
+		dst = appendPartIDs(dst, r.Parts)
+	case ResetReq:
+		kind = wire.KResetReq
+	case ShutdownReq:
+		kind = wire.KShutdownReq
+	case StatsReq:
+		kind = wire.KStatsReq
+	case WorkerStats:
+		kind = wire.KWorkerStats
+		dst = colbytes.AppendU64(dst, r.Handled)
+		dst = colbytes.AppendU64(dst, r.Replayed)
+	default:
+		return dst[:start], fmt.Errorf("proc: encoding %T: not a wire message", m)
 	}
-	return dst
+	dst[start+2] = kind
+	return dst, nil
 }
 
 // decodeRawPayload decodes a raw payload (the frame payload minus the
-// leading codec tag): version, kind, idempotence token, body.
+// leading codec tag): version, kind, idempotence token, body. Bytes
+// left over after the body are an error, so every accepted payload is
+// exactly what appendRawPayload writes for the decoded message.
 func decodeRawPayload(p []byte) (uint64, any, error) {
 	r := colbytes.NewReader(p)
 	ver := r.U8()
@@ -149,15 +210,7 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 		m = v
 	case wire.KDataFetch:
 		v := DataFetchReq{Stream: r.U64(), ChunkVerts: int(r.U32())}
-		n := int(r.U32())
-		if r.Err() == nil && n*4 <= r.Remaining() {
-			v.Parts = make([]int, n)
-			for i := range v.Parts {
-				v.Parts[i] = int(r.U32())
-			}
-		} else if n > 0 {
-			return 0, nil, fmt.Errorf("proc: raw DataFetchReq parts: %w", colbytes.ErrTruncated)
-		}
+		v.Parts = readPartIDs(r)
 		m = v
 	case wire.KDataRestore:
 		m = DataRestoreReq{Stream: r.U64()}
@@ -169,42 +222,73 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 		m = DataAck{Stream: r.U64()}
 	case wire.KDataErr:
 		m = DataErr{Stream: r.U64(), Msg: r.String()}
+	case wire.KHello:
+		m = Hello{Proto: int(r.U32()), Worker: int(r.U32()), Token: r.String(), Conn: r.String()}
+	case wire.KHelloOK:
+		m = HelloOK{Proto: int(r.U32())}
+	case wire.KHeartbeat:
+		m = Heartbeat{Worker: int(r.U32()), Seq: r.U64()}
+	case wire.KOKResp:
+		m = OKResp{}
+	case wire.KErrResp:
+		m = ErrResp{Msg: r.String()}
+	case wire.KPingReq:
+		m = PingReq{}
+	case wire.KCommitReq:
+		m = CommitReq{Superstep: int(r.U32())}
+	case wire.KAbortReq:
+		m = AbortReq{}
+	case wire.KFetchReq:
+		m = FetchReq{Parts: readPartIDs(r)}
+	case wire.KClearReq:
+		m = ClearReq{Parts: readPartIDs(r)}
+	case wire.KResetReq:
+		m = ResetReq{}
+	case wire.KShutdownReq:
+		m = ShutdownReq{}
+	case wire.KStatsReq:
+		m = StatsReq{}
+	case wire.KWorkerStats:
+		m = WorkerStats{Handled: r.U64(), Replayed: r.U64()}
 	default:
 		return 0, nil, fmt.Errorf("proc: raw frame with unknown kind %d", kind)
 	}
 	if err := r.Err(); err != nil {
-		return 0, nil, fmt.Errorf("proc: decoding raw %s frame: %w", kindName(kind), err)
+		return 0, nil, fmt.Errorf("proc: decoding raw %s frame: %w", kindNames[kind], err)
+	}
+	if n := r.Remaining(); n != 0 {
+		return 0, nil, fmt.Errorf("proc: raw %s frame has %d trailing bytes", kindNames[kind], n)
 	}
 	return id, m, nil
 }
 
-// kindName names a raw kind for diagnostics.
-func kindName(kind byte) string {
-	switch kind {
-	case wire.KStepReq:
-		return "StepReq"
-	case wire.KStepResp:
-		return "StepResp"
-	case wire.KFetchResp:
-		return "FetchResp"
-	case wire.KRestoreReq:
-		return "RestoreReq"
-	case wire.KLoadReq:
-		return "LoadReq"
-	case wire.KSnapshot:
-		return "JobSnapshot"
-	case wire.KDataFetch:
-		return "DataFetchReq"
-	case wire.KDataRestore:
-		return "DataRestoreReq"
-	case wire.KDataChunk:
-		return "DataChunk"
-	case wire.KDataAck:
-		return "DataAck"
-	case wire.KDataErr:
-		return "DataErr"
+// appendPartIDs writes a partition-ID list: a count, then one u32 per
+// ID.
+func appendPartIDs(dst []byte, parts []int) []byte {
+	dst = colbytes.AppendU32(dst, uint32(len(parts)))
+	for _, p := range parts {
+		dst = colbytes.AppendU32(dst, uint32(p))
 	}
-	return fmt.Sprintf("kind(%d)", kind)
+	return dst
+}
+
+// readPartIDs decodes a partition-ID list, validating the declared
+// count against the bytes remaining before allocating. An empty list
+// decodes as nil.
+func readPartIDs(r *colbytes.Reader) []int {
+	n := int(r.U32())
+	if r.Err() != nil || n == 0 {
+		return nil
+	}
+	if n > r.Remaining()/4 {
+		r.Fail("partition id list")
+		return nil
+	}
+	parts := make([]int, n)
+	for i := range parts {
+		parts[i] = int(r.U32())
+	}
+	return parts
 }
 
 // appendMsgSection writes []PartMsgs fully columnar: a count header
@@ -246,7 +330,7 @@ func sectionCounts(r *colbytes.Reader, elemBytes int) (parts []int, counts []int
 	if r.Err() != nil || nparts == 0 {
 		return nil, nil, 0
 	}
-	if nparts*8 > r.Remaining() {
+	if nparts > r.Remaining()/8 {
 		// Each declared partition costs at least its 8-byte header entry.
 		r.Fail("section count header")
 		return nil, nil, 0
@@ -257,7 +341,7 @@ func sectionCounts(r *colbytes.Reader, elemBytes int) (parts []int, counts []int
 		parts[i] = int(r.U32())
 		counts[i] = int(r.U32())
 		total += counts[i]
-		if r.Err() != nil || total*elemBytes > r.Remaining() {
+		if r.Err() != nil || total > r.Remaining()/elemBytes {
 			r.Fail("section element counts")
 			return nil, nil, 0
 		}
@@ -395,11 +479,8 @@ func appendAdjSection(dst []byte, pds []PartitionData) []byte {
 	return dst
 }
 
-// snapshotMagic prefixes raw-encoded JobSnapshot checkpoint blobs. The
-// leading zero byte is the discriminator: a gob stream's first byte is
-// its first message's non-zero length prefix, so RestoreFrom can sniff
-// the blob's codec with no format negotiation and old gob checkpoints
-// stay restorable.
+// snapshotMagic prefixes raw JobSnapshot checkpoint blobs; a blob
+// without it is not a proc snapshot.
 var snapshotMagic = [4]byte{0x00, 'O', 'F', 'S'}
 
 // appendSnapshot appends the raw columnar encoding of a JobSnapshot:
@@ -416,15 +497,13 @@ func appendSnapshot(dst []byte, s JobSnapshot) []byte {
 	return dst
 }
 
-// isRawSnapshot reports whether the blob carries the raw snapshot
-// magic.
-func isRawSnapshot(b []byte) bool {
-	return len(b) >= len(snapshotMagic) && string(b[:len(snapshotMagic)]) == string(snapshotMagic[:])
-}
-
-// decodeSnapshot decodes a raw snapshot blob (magic already verified
-// by isRawSnapshot).
+// decodeSnapshot decodes a raw snapshot blob. Like decodeRawPayload it
+// accepts exactly the bytes appendSnapshot writes: a missing magic,
+// another version or trailing bytes are errors.
 func decodeSnapshot(b []byte) (JobSnapshot, error) {
+	if len(b) < len(snapshotMagic) || string(b[:len(snapshotMagic)]) != string(snapshotMagic[:]) {
+		return JobSnapshot{}, errors.New("proc: not a proc snapshot blob (no snapshot magic)")
+	}
 	r := colbytes.NewReader(b[len(snapshotMagic):])
 	if ver := r.U8(); r.Err() == nil && ver != wire.Version {
 		return JobSnapshot{}, &wire.VersionError{Got: ver, Want: wire.Version}
@@ -437,15 +516,22 @@ func decodeSnapshot(b []byte) (JobSnapshot, error) {
 	if err := r.Err(); err != nil {
 		return JobSnapshot{}, fmt.Errorf("proc: decoding raw snapshot: %w", err)
 	}
+	if n := r.Remaining(); n != 0 {
+		return JobSnapshot{}, fmt.Errorf("proc: raw snapshot has %d trailing bytes", n)
+	}
 	return s, nil
 }
 
 // readAdjSection decodes an adjacency section. The flattened out-edge
 // column becomes one arena sub-sliced per vertex — the slices the
-// worker retains for the life of the job, exactly sized.
+// worker retains for the life of the job, exactly sized. The declared
+// edge count must equal the sum of the degrees.
 func readAdjSection(r *colbytes.Reader) []PartitionData {
 	parts, counts, total := sectionCounts(r, 12) // id u64 + degree u32
 	if parts == nil {
+		if r.U64() != 0 {
+			r.Fail("adjacency edge column")
+		}
 		return nil
 	}
 	verts := make([]VertexAdj, total)
@@ -460,13 +546,13 @@ func readAdjSection(r *colbytes.Reader) []PartitionData {
 			degs[i] = binary.LittleEndian.Uint32(b[4*i:])
 		}
 	}
-	edges := int(r.U64())
-	if r.Err() != nil || edges*8 > r.Remaining() {
+	declared := r.U64()
+	if r.Err() != nil || declared > uint64(r.Remaining()/8) {
 		r.Fail("adjacency edge column")
 		return nil
 	}
-	arena := make([]uint64, 0, edges)
-	arena = arena[:edges]
+	edges := int(declared)
+	arena := make([]uint64, edges)
 	if b := r.Raw(8*edges, "adjacency edge column"); b != nil {
 		for i := range arena {
 			arena[i] = binary.LittleEndian.Uint64(b[8*i:])
@@ -475,12 +561,16 @@ func readAdjSection(r *colbytes.Reader) []PartitionData {
 	off := 0
 	for i := range verts {
 		n := int(degs[i])
-		if off+n > edges {
+		if n > edges-off {
 			r.Fail("adjacency degrees")
 			return nil
 		}
 		verts[i].Out = arena[off : off+n : off+n]
 		off += n
+	}
+	if off != edges {
+		r.Fail("adjacency degrees")
+		return nil
 	}
 	out := make([]PartitionData, len(parts))
 	voff := 0

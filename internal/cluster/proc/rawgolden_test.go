@@ -1,9 +1,9 @@
 package proc
 
 // rawgolden_test.go pins the raw columnar wire format byte for byte:
-// one golden fixture per raw payload kind (plus the raw snapshot
-// blob), committed as hex under testdata/. The fixtures catch silent
-// format drift — an encoder change that still round-trips locally but
+// one golden fixture per payload kind (plus the raw snapshot blob),
+// committed as hex under testdata/. The fixtures catch silent format
+// drift — an encoder change that still round-trips locally but
 // breaks decoding against processes running the committed format fails
 // here — and the fixtures are additionally fed to a fresh subprocess
 // decoder, proving the committed bytes (not just today's encoder
@@ -24,8 +24,8 @@ import (
 	"optiflow/internal/cluster/proc/wire"
 )
 
-// goldenRawCases returns one populated sample per raw payload kind, in
-// a fixed order. Values exercise multi-partition sections, empty
+// goldenRawCases returns one populated sample per payload kind, in a
+// fixed order. Values exercise multi-partition sections, empty
 // groups and non-trivial floats.
 func goldenRawCases() []struct {
 	name string
@@ -67,6 +67,20 @@ func goldenRawCases() []struct {
 		}},
 		{"dataack", DataAck{Stream: 10}},
 		{"dataerr", DataErr{Stream: 11, Msg: "worker 2: partition 9 not hosted"}},
+		{"hello", Hello{Proto: 4, Worker: 3, Token: "0123456789abcdef", Conn: "data/1"}},
+		{"hellook", HelloOK{Proto: 4}},
+		{"heartbeat", Heartbeat{Worker: 3, Seq: 1 << 40}},
+		{"okresp", OKResp{}},
+		{"errresp", ErrResp{Msg: "fenced: worker is no longer a member"}},
+		{"pingreq", PingReq{}},
+		{"commitreq", CommitReq{Superstep: 12}},
+		{"abortreq", AbortReq{}},
+		{"fetchreq", FetchReq{Parts: []int{1, 4}}},
+		{"clearreq", ClearReq{Parts: []int{5}}},
+		{"resetreq", ResetReq{}},
+		{"shutdownreq", ShutdownReq{}},
+		{"statsreq", StatsReq{}},
+		{"workerstats", WorkerStats{Handled: 17, Replayed: 2}},
 	}
 }
 
@@ -95,26 +109,38 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		}
 		return
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden fixture %s (regenerate with OPTIFLOW_UPDATE_GOLDEN=1): %v", path, err)
-	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-	if err != nil {
-		t.Fatalf("corrupt golden fixture %s: %v", path, err)
-	}
-	if !bytes.Equal(got, want) {
+	if want := goldenBytes(t, name); !bytes.Equal(got, want) {
 		t.Errorf("%s: encoding drifted from the committed format\n got  %x\n want %x", name, got, want)
 	}
 }
 
-// TestRawGoldenFrames pins every raw payload kind's frame bytes and
-// proves the committed bytes decode in a fresh subprocess.
+// goldenBytes reads the named committed fixture.
+func goldenBytes(t testing.TB, name string) []byte {
+	t.Helper()
+	path := filepath.Join("testdata", name+".hex")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture %s (regenerate with OPTIFLOW_UPDATE_GOLDEN=1): %v", path, err)
+	}
+	b, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("corrupt golden fixture %s: %v", path, err)
+	}
+	return b
+}
+
+// TestRawGoldenFrames pins every payload kind's frame bytes and proves
+// the committed bytes decode in a fresh subprocess.
 func TestRawGoldenFrames(t *testing.T) {
 	var all bytes.Buffer
 	cases := goldenRawCases()
+	msgs := make([]any, len(cases))
+	for i, c := range cases {
+		msgs[i] = c.m
+	}
+	checkKindCoverage(t, msgs)
 	for _, c := range cases {
-		b, err := encodeFrame(77, c.m)
+		b, err := appendFrame(nil, 77, c.m, wire.MaxFrame)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -136,13 +162,13 @@ func TestRawGoldenFrames(t *testing.T) {
 }
 
 // TestRawGoldenSnapshot pins the raw checkpoint blob format and its
-// round trip, including the magic-sniff dispatch against gob blobs.
+// round trip, and that a blob without the snapshot magic is rejected.
 func TestRawGoldenSnapshot(t *testing.T) {
 	snap := goldenSnapshot()
 	b := appendSnapshot(nil, snap)
 	checkGolden(t, "raw_snapshot", b)
-	if !isRawSnapshot(b) {
-		t.Fatal("raw snapshot blob not recognised by its magic")
+	if _, err := decodeSnapshot(b[1:]); err == nil {
+		t.Fatal("blob without the snapshot magic decoded")
 	}
 	got, err := decodeSnapshot(b)
 	if err != nil {
@@ -157,12 +183,12 @@ func TestRawGoldenSnapshot(t *testing.T) {
 // frame or snapshot blob stamped with a future format version is
 // rejected with a typed *wire.VersionError, not misparsed.
 func TestRawVersionMismatch(t *testing.T) {
-	b, err := encodeFrame(1, DataAck{Stream: 5})
+	b, err := appendFrame(nil, 1, DataAck{Stream: 5}, wire.MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[5]++ // frame = 4B length, codec tag, then the raw version byte
-	_, _, err = readFrameCfg(bytes.NewReader(b), defaultWire)
+	_, _, err = readFrame(bytes.NewReader(b), wire.MaxFrame)
 	var ve *wire.VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("decode of future-version frame: err = %v, want *wire.VersionError", err)

@@ -5,8 +5,9 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"time"
+
+	"optiflow/internal/cluster/proc/wire"
 )
 
 // Worker daemons are spawned by re-executing the current binary with
@@ -25,23 +26,22 @@ const (
 	envBackoffMS   = "OPTIFLOW_PROC_BACKOFF_MS"
 	envDataConns   = "OPTIFLOW_PROC_DATA_CONNS"
 	envMaxFrame    = "OPTIFLOW_PROC_MAX_FRAME"
-	envGobPayloads = "OPTIFLOW_PROC_GOB_PAYLOADS"
 
-	// envGobCheck switches the child into the wire-compatibility
-	// decoder used by the gob round-trip suite: frames in on stdin,
-	// one decoded-value digest per line on stdout.
-	envGobCheck = "OPTIFLOW_PROC_GOBCHECK"
+	// envWireCheck switches the child into the wire-compatibility
+	// decoder used by the cross-process round-trip suite: frames in on
+	// stdin, one decoded-value digest per line on stdout.
+	envWireCheck = "OPTIFLOW_PROC_WIRECHECK"
 )
 
 // MaybeChildMode checks whether this process was spawned as a proc
-// child (worker daemon or gob-check decoder) and, if so, runs that
+// child (worker daemon or wire-check decoder) and, if so, runs that
 // role and exits — it never returns in child mode. Entry points that
 // can host workers (cmd/optiflow-serve, TestMain of proc-mode test
 // packages) must call it first thing in main.
 func MaybeChildMode() {
-	if os.Getenv(envGobCheck) == "1" {
-		if err := runGobCheck(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "optiflow gob-check:", err)
+	if os.Getenv(envWireCheck) == "1" {
+		if err := runWireCheck(os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "optiflow wire-check:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
@@ -94,9 +94,6 @@ func workerConfigFromEnv() (WorkerConfig, error) {
 		DataConns:        envInt(envDataConns),
 		MaxFrameBytes:    envInt(envMaxFrame),
 	}
-	if gp := os.Getenv(envGobPayloads); gp != "" {
-		cfg.GobPayloads = strings.Split(gp, ",")
-	}
 	if cfg.Addr == "" {
 		return WorkerConfig{}, fmt.Errorf("proc: %s not set", envAddr)
 	}
@@ -119,20 +116,18 @@ func workerEnv(addr string, id int, token string, cfg Config) []string {
 		envBackoffMS+"="+ms(cfg.RetryBackoff),
 		envDataConns+"="+strconv.Itoa(cfg.DataConns),
 		envMaxFrame+"="+strconv.Itoa(cfg.MaxFrameBytes),
-		envGobPayloads+"="+strings.Join(cfg.GobPayloads, ","),
 	)
 }
 
-// runGobCheck is the child half of the wire-compatibility suite: a
-// fresh process (fresh gob type registry, no state shared with the
-// encoder beyond this package's init) decodes length-prefixed frames
-// from stdin until EOF and prints one Go-syntax digest per decoded
-// message. The parent compares the digests against its own rendering
-// of what it encoded, proving that every wire type survives a
-// cross-process round trip.
-func runGobCheck(in io.Reader, out io.Writer) error {
+// runWireCheck is the child half of the wire-compatibility suite: a
+// fresh process (no state shared with the encoder) decodes
+// length-prefixed frames from stdin until EOF and prints one Go-syntax
+// digest per decoded message. The parent compares the digests against
+// its own rendering of what it encoded, proving that every wire kind
+// survives a cross-process round trip.
+func runWireCheck(in io.Reader, out io.Writer) error {
 	for {
-		m, err := readFrame(in)
+		_, m, err := readFrame(in, wire.MaxFrame)
 		if err == io.EOF {
 			return nil
 		}

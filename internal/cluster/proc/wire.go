@@ -1,39 +1,31 @@
 // Package proc is the multi-process deployment of the cluster model: a
 // coordinator process (the driver) and worker daemons that are real
-// operating-system processes, connected over TCP with gob-encoded
-// frames. It is the "in action" counterpart of the in-process
-// simulation in package cluster — same Interface, same membership
-// semantics, but Fail(w) delivers an actual SIGKILL and recovery
-// re-provisions an actual process.
+// operating-system processes, connected over TCP. It is the "in
+// action" counterpart of the in-process simulation in package cluster
+// — same Interface, same membership semantics, but Fail(w) delivers an
+// actual SIGKILL and recovery re-provisions an actual process.
 //
 // The wire protocol is deliberately small: every connection starts with
 // a Hello handshake naming the worker and the connection's role
 // ("ctrl" for serialized request/response RPC, "beat" for the worker's
 // heartbeat push stream, "data/N" for the chunked state-transfer data
-// plane), after which each side exchanges frames. Since protocol v2
-// each frame is length-prefixed (netfault.HeaderLen bytes of
-// big-endian payload length) and self-contained: a dropped, duplicated
-// or delayed frame cannot desynchronise the stream the way
-// shared-codec gob state would (the PR 8 desync lesson), and a
-// reconnected connection resumes mid-job with no carried codec state.
-// Since protocol v3 the payload's first byte selects its codec (see
-// internal/cluster/proc/wire): low-rate control frames stay gob with a
-// fresh encoder/decoder pair per frame, while hot-path payloads —
-// superstep data, partition state, data-plane chunks — default to the
-// raw columnar encoding of raw.go, with gob selectable per payload
-// kind as a fallback (Config.GobPayloads). Frames carry an ID used as
-// an idempotence token on ctrl RPCs — responses echo their request's
-// ID, so the coordinator can discard stale responses after a retry and
-// the worker can answer a duplicate request from cache instead of
-// re-applying it. All message types are registered with gob in this
-// package's init, and the wire-compatibility test round-trips every
-// one of them — in both codecs — through a freshly started subprocess
-// decoder to pin cross-process decodability.
+// plane), after which each side exchanges frames. Each frame is
+// length-prefixed (netfault.HeaderLen bytes of big-endian payload
+// length) and self-contained: a dropped, duplicated or delayed frame
+// cannot desynchronise the stream, and a reconnected connection
+// resumes mid-job with no carried codec state. Every payload, control
+// and hot path alike, is one raw columnar message (raw.go, format in
+// internal/cluster/proc/wire) whose kind byte names its type. Frames
+// carry an ID used as an idempotence token on ctrl RPCs — responses
+// echo their request's ID, so the coordinator can discard stale
+// responses after a retry and the worker can answer a duplicate
+// request from cache instead of re-applying it. The
+// wire-compatibility test round-trips one sample of every kind
+// through a freshly started subprocess decoder to pin cross-process
+// decodability.
 package proc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +34,6 @@ import (
 	"strings"
 	"sync"
 
-	"optiflow/internal/checkpoint"
 	"optiflow/internal/cluster/proc/netfault"
 	"optiflow/internal/cluster/proc/wire"
 )
@@ -51,20 +42,10 @@ import (
 // version is rejected during the handshake, so a stale worker binary
 // cannot silently exchange frames with a newer coordinator. Version 2
 // introduced length-prefixed self-contained frames and idempotence
-// IDs; version 3 added the per-payload codec tag (gob or raw
-// columnar) and the data-plane connection role.
-const ProtoVersion = 3
-
-// Frame is the unit of transmission: one gob value wrapping one
-// message. Wrapping in an interface-typed field keeps each frame
-// self-describing — the decoder learns the concrete type from the gob
-// type descriptor, so request dispatch is a type switch. ID is the
-// ctrl-RPC idempotence token (responses echo their request's ID); it is
-// zero on handshake and heartbeat frames.
-type Frame struct {
-	ID uint64
-	M  any
-}
+// IDs; version 3 added the per-payload codec tag and the data-plane
+// connection role; version 4 moved the control messages, Hello
+// included, onto the raw codec.
+const ProtoVersion = 4
 
 // Hello opens every connection. Token authenticates the worker to the
 // coordinator (it is handed to the worker process via its environment,
@@ -273,8 +254,9 @@ type WorkerStats struct {
 // JobSnapshot is the driver-side serialisation of a proc job's full
 // iteration state: every partition's vertex values plus the in-flight
 // message state the next superstep consumes. recovery.Job's SnapshotTo
-// gob-encodes one of these; RestoreFrom decodes it and pushes the
-// partitions back to their current owners.
+// encodes one of these as a raw snapshot blob (appendSnapshot);
+// RestoreFrom decodes it and pushes the partitions back to their
+// current owners.
 type JobSnapshot struct {
 	Kind      string
 	Parts     []PartState
@@ -323,142 +305,38 @@ type DataErr struct {
 	Msg    string
 }
 
-// wireMessages lists every concrete type that may travel inside a
-// Frame, in a fixed order shared by gob registration and the
-// cross-process wire-compatibility check.
-func wireMessages() []any {
-	return []any{
-		Hello{}, HelloOK{}, Heartbeat{},
-		OKResp{}, ErrResp{}, PingReq{},
-		LoadReq{}, StepReq{}, StepResp{},
-		CommitReq{}, AbortReq{},
-		FetchReq{}, FetchResp{}, RestoreReq{}, ClearReq{}, ResetReq{},
-		ShutdownReq{},
-		StatsReq{}, WorkerStats{},
-		JobSnapshot{},
-		checkpoint.CommitRecord{},
-		DataFetchReq{}, DataRestoreReq{}, DataChunk{}, DataAck{}, DataErr{},
-	}
-}
+// framePool recycles frame-assembly and frame-receive buffers across
+// the send and receive loops — the PR 10 fix for the per-frame
+// allocations that dominated the proc hot path.
+var framePool = sync.Pool{New: func() any { return &wire.Buf{} }}
 
-func init() {
-	for _, m := range wireMessages() {
-		gob.Register(m)
-	}
-}
-
-// wireCfg is the encoder-local wire policy: the (configurable) frame
-// size cap and the payload kinds forced onto the gob fallback. Decoders
-// accept both codecs regardless, so the policy needs no negotiation —
-// each end just encodes by its own.
-type wireCfg struct {
-	maxFrame int           // payload cap; 0 = netfault.MaxFrame
-	gobKinds map[byte]bool // raw-capable kinds forced to gob
-}
-
-// defaultWire is the policy of plain writeFrame/readFrame callers
-// (handshakes, heartbeats, the gob-check child): everything raw-capable
-// goes raw, frames capped at the hard ceiling.
-var defaultWire = &wireCfg{}
-
-// max returns the effective payload cap.
-func (wc *wireCfg) max() int {
-	if wc == nil || wc.maxFrame <= 0 || wc.maxFrame > netfault.MaxFrame {
-		return netfault.MaxFrame
-	}
-	return wc.maxFrame
-}
-
-// forceGob reports whether the kind is on the gob fallback list.
-func (wc *wireCfg) forceGob(kind byte) bool { return wc != nil && wc.gobKinds[kind] }
-
-// Payload-kind names accepted by Config.GobPayloads.
-const (
-	PayloadStep     = "step"     // StepReq / StepResp
-	PayloadState    = "state"    // FetchResp / RestoreReq (disables the data plane)
-	PayloadLoad     = "load"     // LoadReq
-	PayloadSnapshot = "snapshot" // the JobSnapshot checkpoint blob
-)
-
-// parseGobPayloads resolves payload-kind names to the raw kinds they
-// cover.
-func parseGobPayloads(names []string) (map[byte]bool, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := make(map[byte]bool)
-	for _, n := range names {
-		switch strings.TrimSpace(n) {
-		case "":
-		case PayloadStep:
-			out[wire.KStepReq] = true
-			out[wire.KStepResp] = true
-		case PayloadState:
-			out[wire.KFetchResp] = true
-			out[wire.KRestoreReq] = true
-		case PayloadLoad:
-			out[wire.KLoadReq] = true
-		case PayloadSnapshot:
-			out[wire.KSnapshot] = true
-		default:
-			return nil, fmt.Errorf("proc: unknown gob payload kind %q", n)
-		}
-	}
-	return out, nil
-}
-
-// sliceWriter adapts an append-grown []byte to io.Writer for the gob
-// encoder, so gob frames assemble in the same pooled buffer raw frames
-// do.
-type sliceWriter struct{ b []byte }
-
-func (sw *sliceWriter) Write(p []byte) (int, error) {
-	sw.b = append(sw.b, p...)
-	return len(p), nil
-}
-
-// appendFrame appends one complete length-prefixed frame for m to dst:
-// raw codec for hot-path payloads (unless the policy forces gob), gob
-// for everything else. The returned slice is dst possibly regrown.
-func appendFrame(dst []byte, id uint64, m any, wc *wireCfg) ([]byte, error) {
+// appendFrame appends one complete length-prefixed raw frame for m to
+// dst, failing if m has no raw kind or the payload exceeds maxFrame
+// (0 = wire.MaxFrame). The returned slice is dst possibly regrown; on
+// error it is dst unchanged.
+func appendFrame(dst []byte, id uint64, m any, maxFrame int) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, make([]byte, netfault.HeaderLen)...)
-	if kind, ok := rawKindOf(m); ok && !wc.forceGob(kind) {
-		dst = appendRawPayload(dst, kind, id, m)
-	} else {
-		sw := sliceWriter{b: append(dst, wire.CodecGob)}
-		if err := gob.NewEncoder(&sw).Encode(Frame{ID: id, M: m}); err != nil {
-			return dst[:start], fmt.Errorf("proc: encoding %T: %v", m, err)
-		}
-		dst = sw.b
+	dst, err := appendRawPayload(append(dst, make([]byte, netfault.HeaderLen)...), id, m)
+	if err != nil {
+		return dst[:start], err
 	}
 	payload := len(dst) - start - netfault.HeaderLen
-	if err := wire.CheckSize(payload, wc.max()); err != nil {
+	if err := wire.CheckSize(payload, maxFrame); err != nil {
 		return dst[:start], fmt.Errorf("proc: encoding %T: %w", m, err)
 	}
 	netfault.PutHeader(dst[start:], payload)
 	return dst, nil
 }
 
-// encodeFrame renders one frame as a self-contained byte block the
-// caller owns (tests, the compatibility suite). The hot path is
-// writeFrameCfg, which assembles into a pooled buffer instead.
-func encodeFrame(id uint64, m any) ([]byte, error) {
-	return appendFrame(nil, id, m, defaultWire)
-}
-
-// framePool recycles frame-assembly and frame-receive buffers across
-// the send and receive loops — the PR 10 fix for the per-frame
-// allocations that dominated the proc hot path.
-var framePool = sync.Pool{New: func() any { return &wire.Buf{} }}
-
-// writeFrameCfg writes one message as a single self-contained frame
-// under the given policy. The frame reaches the connection in exactly
-// one Write call — the contract the netfault wrapper relies on to see
-// frame boundaries — and its buffer returns to the pool afterwards.
-func writeFrameCfg(w io.Writer, id uint64, m any, wc *wireCfg) error {
+// writeFrame writes one message as a single self-contained frame
+// carrying idempotence token id (zero on handshake, heartbeat and
+// stream frames), capped at maxFrame payload bytes. The frame reaches
+// the connection in exactly one Write call — the contract the
+// netfault wrapper relies on to see frame boundaries — and its buffer
+// returns to the pool afterwards.
+func writeFrame(w io.Writer, id uint64, m any, maxFrame int) error {
 	buf := framePool.Get().(*wire.Buf)
-	b, err := appendFrame(buf.B[:0], id, m, wc)
+	b, err := appendFrame(buf.B[:0], id, m, maxFrame)
 	buf.B = b[:0]
 	if err != nil {
 		framePool.Put(buf)
@@ -472,24 +350,14 @@ func writeFrameCfg(w io.Writer, id uint64, m any, wc *wireCfg) error {
 	return nil
 }
 
-// writeFrameID writes one message under the default policy.
-func writeFrameID(w io.Writer, id uint64, m any) error {
-	return writeFrameCfg(w, id, m, defaultWire)
-}
-
-// writeFrame writes a message with no idempotence token (handshake,
-// heartbeat and push frames).
-func writeFrame(w io.Writer, m any) error {
-	return writeFrameID(w, 0, m)
-}
-
-// readFrameCfg reads the next complete frame under the given policy,
-// returning its idempotence token alongside the message. The payload is
-// read into a pooled buffer; both codecs' decoders copy everything out
-// (gob by construction, raw by the arena rule), so the buffer recycles
-// immediately. Read errors from the connection are returned wrapped
-// (%w) so deadline expiry stays detectable via net.Error.
-func readFrameCfg(r io.Reader, wc *wireCfg) (uint64, any, error) {
+// readFrame reads the next complete frame, rejecting a declared
+// payload above maxFrame (0 = wire.MaxFrame) before reading it, and
+// returns the frame's idempotence token alongside the message. The
+// payload is read into a pooled buffer; the raw decoders copy
+// everything out (the arena rule), so the buffer recycles immediately.
+// Read errors from the connection are returned wrapped (%w) so
+// deadline expiry stays detectable via net.Error.
+func readFrame(r io.Reader, maxFrame int) (uint64, any, error) {
 	var hdr [netfault.HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -498,7 +366,7 @@ func readFrameCfg(r io.Reader, wc *wireCfg) (uint64, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := wire.CheckSize(n, wc.max()); err != nil {
+	if err := wire.CheckSize(n, maxFrame); err != nil {
 		return 0, nil, fmt.Errorf("proc: reading frame: %w", err)
 	}
 	buf := framePool.Get().(*wire.Buf)
@@ -513,35 +381,10 @@ func readFrameCfg(r io.Reader, wc *wireCfg) (uint64, any, error) {
 		}
 		return 0, nil, fmt.Errorf("proc: reading frame body: %w", err)
 	}
-	if n == 0 {
-		return 0, nil, errors.New("proc: empty frame")
-	}
-	switch payload[0] {
-	case wire.CodecRaw:
-		return decodeRawPayload(payload[1:])
-	case wire.CodecGob:
-		var f Frame
-		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&f); err != nil {
-			return 0, nil, fmt.Errorf("proc: decoding frame: %v", err)
-		}
-		if f.M == nil {
-			return 0, nil, errors.New("proc: empty frame")
-		}
-		return f.ID, f.M, nil
-	default:
+	if payload[0] != wire.CodecRaw {
 		return 0, nil, fmt.Errorf("proc: unknown frame codec %#x", payload[0])
 	}
-}
-
-// readFrameID reads the next frame under the default policy.
-func readFrameID(r io.Reader) (uint64, any, error) {
-	return readFrameCfg(r, defaultWire)
-}
-
-// readFrame reads the next frame's message, discarding the token.
-func readFrame(r io.Reader) (any, error) {
-	_, m, err := readFrameID(r)
-	return m, err
+	return decodeRawPayload(payload[1:])
 }
 
 // isTimeout reports whether err is (or wraps) a network timeout — the

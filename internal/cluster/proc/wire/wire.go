@@ -1,40 +1,32 @@
 // Package wire defines the versioned flat binary frame format of the
-// proc cluster's hot path. Every frame on a proc connection is a
-// 4-byte big-endian payload length (netfault.HeaderLen) followed by a
-// payload whose FIRST byte selects the codec:
+// proc cluster. Every frame on a proc connection is a 4-byte
+// big-endian payload length (netfault.HeaderLen) followed by a raw
+// columnar payload:
 //
-//	CodecGob  payload = [0x00][gob(Frame{ID, M})]
-//	CodecRaw  payload = [0x01][version][kind][id: 8 bytes LE][body]
+//	payload = [CodecRaw][version][kind][id: 8 bytes LE][body]
 //
-// The gob codec is the PR 8 protocol unchanged (fresh encoder per
-// frame, self-contained type descriptors) and remains the path for
-// low-rate control frames — handshakes, heartbeats, acks, membership
-// RPCs. The raw codec is the zero-copy columnar fast path for
-// hot-path payloads: the body is a sequence of little-endian column
-// segments (see package colbytes) written by loops over the job's
-// flat arrays, with no reflection, no type descriptors and no
-// per-frame codec state. Decoders accept both codecs unconditionally,
-// so codec selection is an encoder-local choice needing no
-// negotiation: a coordinator can force gob per payload kind (the
-// fallback knob) and the worker still understands it, and vice versa.
+// The kind byte names the concrete message type; the body is a
+// sequence of little-endian column segments (see package colbytes)
+// written by loops over the message's flat arrays, with no reflection,
+// no type descriptors and no per-frame codec state. The leading
+// CodecRaw byte is kept from the two-codec protocol so frames stay
+// byte-identical to it; a decoder rejects any other first byte.
 //
-// Versioning: the raw header carries Version. A decoder seeing a
+// Versioning: the payload carries Version. A decoder seeing a
 // different version fails the frame with *VersionError — the typed
 // rejection the cross-process compatibility suite pins — rather than
-// misreading the body. The gob side needs no version byte of its own:
-// gob payloads are self-describing.
+// misreading the body.
 //
-// Buffer ownership: encoders assemble frames in pooled buffers
-// (GetBuf/PutBuf). A pooled buffer may be recycled the moment the
-// frame's Write returns, so decoded messages must own their memory —
-// every raw decoder copies column data out of the frame buffer into
+// Buffer ownership: the proc package assembles and receives frames in
+// pooled Bufs. A pooled buffer may be recycled the moment the frame's
+// Write (or decode) returns, so decoded messages must own their memory
+// — every raw decoder copies column data out of the frame buffer into
 // exactly-sized arenas before returning. Nothing decoded aliases the
 // receive buffer.
 package wire
 
 import (
 	"fmt"
-	"sync"
 
 	"optiflow/internal/cluster/proc/netfault"
 )
@@ -44,31 +36,37 @@ import (
 // *VersionError.
 const Version byte = 1
 
-// Codec tags — the first payload byte of every frame.
-const (
-	CodecGob byte = 0x00
-	CodecRaw byte = 0x01
-)
+// CodecRaw is the first payload byte of every frame.
+const CodecRaw byte = 0x01
 
-// RawHeaderLen is the raw-codec header: codec tag, version, kind, and
-// the 8-byte little-endian idempotence token.
-const RawHeaderLen = 1 + 1 + 1 + 8
-
-// Raw payload kinds. The kind byte names the concrete message type of
-// a raw frame's body, playing the role gob's type descriptor plays on
-// the gob side.
+// Payload kinds. The kind byte names the concrete message type of a
+// frame's body. Kind 6 is retired (it named the snapshot blob on the
+// former gob fallback list); never reuse it.
 const (
 	KStepReq     byte = 1
 	KStepResp    byte = 2
 	KFetchResp   byte = 3
 	KRestoreReq  byte = 4
 	KLoadReq     byte = 5
-	KSnapshot    byte = 6
 	KDataFetch   byte = 7
 	KDataRestore byte = 8
 	KDataChunk   byte = 9
 	KDataAck     byte = 10
 	KDataErr     byte = 11
+	KHello       byte = 12
+	KHelloOK     byte = 13
+	KHeartbeat   byte = 14
+	KOKResp      byte = 15
+	KErrResp     byte = 16
+	KPingReq     byte = 17
+	KCommitReq   byte = 18
+	KAbortReq    byte = 19
+	KFetchReq    byte = 20
+	KClearReq    byte = 21
+	KResetReq    byte = 22
+	KShutdownReq byte = 23
+	KStatsReq    byte = 24
+	KWorkerStats byte = 25
 )
 
 // MaxFrame is the hard ceiling on any payload, inherited from the
@@ -115,18 +113,3 @@ func (e *VersionError) Error() string {
 type Buf struct {
 	B []byte
 }
-
-var bufPool = sync.Pool{New: func() any { return &Buf{B: make([]byte, 0, 4096)} }}
-
-// GetBuf fetches a pooled buffer with zero length and whatever
-// capacity its last user grew it to.
-func GetBuf() *Buf {
-	b := bufPool.Get().(*Buf)
-	b.B = b.B[:0]
-	return b
-}
-
-// PutBuf recycles a buffer. The caller must not touch b.B afterwards —
-// including any decoded value that aliases it, which is why decoders
-// copy (see the package comment's ownership rule).
-func PutBuf(b *Buf) { bufPool.Put(b) }

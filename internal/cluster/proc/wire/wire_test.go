@@ -31,14 +31,3 @@ func TestCheckSizeZeroMeansMaxFrame(t *testing.T) {
 		t.Error("cap above MaxFrame must clamp to MaxFrame")
 	}
 }
-
-func TestBufPoolReuse(t *testing.T) {
-	b := GetBuf()
-	b.B = append(b.B, make([]byte, 1<<16)...)
-	PutBuf(b)
-	got := GetBuf()
-	defer PutBuf(got)
-	if len(got.B) != 0 {
-		t.Errorf("pooled buffer not reset: len %d", len(got.B))
-	}
-}

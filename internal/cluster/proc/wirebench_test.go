@@ -1,18 +1,17 @@
 package proc
 
-// wirebench_test.go measures the PR 10 headline: raw columnar frame
-// encode/decode versus the gob fallback, on the two bulk payload
-// shapes the cluster actually ships — partition state (flat
-// id/label/rank records, the checkpoint and migration payload) and
-// partition adjacency (per-vertex out-edge lists, the load payload,
-// where gob allocates one slice per vertex and the raw format uses a
-// single edge arena). The BENCH_PR10.json artifact derives the
-// speedup and allocs/op ratios from these benchmarks, and CI pins the
-// raw encode allocation count with -maxallocs.
+// wirebench_test.go measures raw columnar frame encode/decode on the
+// two bulk payload shapes the cluster actually ships — partition state
+// (flat id/label/rank records, the checkpoint and migration payload)
+// and partition adjacency (per-vertex out-edge lists, the load
+// payload, decoded into a single edge arena). CI pins the encode
+// allocation count with -maxallocs.
 
 import (
 	"bytes"
 	"testing"
+
+	"optiflow/internal/cluster/proc/wire"
 )
 
 // wireStatePayload is a bulk state payload shaped like a checkpoint
@@ -55,20 +54,9 @@ func wireAdjPayload() LoadReq {
 	return req
 }
 
-// gobWire forces the given payload kinds onto the gob fallback, so the
-// same writeFrameCfg path runs the gob codec.
-func gobWire(b *testing.B, kinds ...string) *wireCfg {
-	b.Helper()
-	gk, err := parseGobPayloads(kinds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &wireCfg{gobKinds: gk}
-}
-
-func benchWireEncode(b *testing.B, msg any, wc *wireCfg) {
+func benchWireEncode(b *testing.B, msg any) {
 	var sink bytes.Buffer
-	if err := writeFrameCfg(&sink, 1, msg, wc); err != nil {
+	if err := writeFrame(&sink, 1, msg, wire.MaxFrame); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(sink.Len()))
@@ -76,15 +64,15 @@ func benchWireEncode(b *testing.B, msg any, wc *wireCfg) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink.Reset()
-		if err := writeFrameCfg(&sink, 1, msg, wc); err != nil {
+		if err := writeFrame(&sink, 1, msg, wire.MaxFrame); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchWireDecode(b *testing.B, msg any, wc *wireCfg) {
+func benchWireDecode(b *testing.B, msg any) {
 	var frames bytes.Buffer
-	if err := writeFrameCfg(&frames, 1, msg, wc); err != nil {
+	if err := writeFrame(&frames, 1, msg, wire.MaxFrame); err != nil {
 		b.Fatal(err)
 	}
 	frame := frames.Bytes()
@@ -94,40 +82,13 @@ func benchWireDecode(b *testing.B, msg any, wc *wireCfg) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(frame)
-		if _, _, err := readFrameCfg(r, wc); err != nil {
+		if _, _, err := readFrame(r, wire.MaxFrame); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkWireEncodeState_Raw(b *testing.B) {
-	benchWireEncode(b, wireStatePayload(), defaultWire)
-}
-
-func BenchmarkWireEncodeState_Gob(b *testing.B) {
-	benchWireEncode(b, wireStatePayload(), gobWire(b, PayloadState))
-}
-
-func BenchmarkWireDecodeState_Raw(b *testing.B) {
-	benchWireDecode(b, wireStatePayload(), defaultWire)
-}
-
-func BenchmarkWireDecodeState_Gob(b *testing.B) {
-	benchWireDecode(b, wireStatePayload(), gobWire(b, PayloadState))
-}
-
-func BenchmarkWireEncodeAdj_Raw(b *testing.B) {
-	benchWireEncode(b, wireAdjPayload(), defaultWire)
-}
-
-func BenchmarkWireEncodeAdj_Gob(b *testing.B) {
-	benchWireEncode(b, wireAdjPayload(), gobWire(b, PayloadLoad))
-}
-
-func BenchmarkWireDecodeAdj_Raw(b *testing.B) {
-	benchWireDecode(b, wireAdjPayload(), defaultWire)
-}
-
-func BenchmarkWireDecodeAdj_Gob(b *testing.B) {
-	benchWireDecode(b, wireAdjPayload(), gobWire(b, PayloadLoad))
-}
+func BenchmarkWireEncodeState_Raw(b *testing.B) { benchWireEncode(b, wireStatePayload()) }
+func BenchmarkWireDecodeState_Raw(b *testing.B) { benchWireDecode(b, wireStatePayload()) }
+func BenchmarkWireEncodeAdj_Raw(b *testing.B)   { benchWireEncode(b, wireAdjPayload()) }
+func BenchmarkWireDecodeAdj_Raw(b *testing.B)   { benchWireDecode(b, wireAdjPayload()) }

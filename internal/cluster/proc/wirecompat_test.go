@@ -6,16 +6,15 @@ import (
 	"fmt"
 	"os"
 	oexec "os/exec"
-	"reflect"
 	"testing"
 
-	"optiflow/internal/checkpoint"
+	"optiflow/internal/cluster/proc/netfault"
+	"optiflow/internal/cluster/proc/wire"
 )
 
-// sampleMessages returns one populated instance per wire type, in
-// wireMessages order. Every field is non-zero where possible so the
-// round trip exercises real payloads, not gob's zero-field elision.
-// Map-typed fields hold a single entry so the %#v digest is stable.
+// sampleMessages returns one populated instance per payload kind.
+// Every field is non-zero where possible so the round trip exercises
+// real payloads.
 func sampleMessages() []any {
 	return []any{
 		Hello{Proto: ProtoVersion, Worker: 3, Token: "tok", Conn: ConnCtrl},
@@ -46,13 +45,6 @@ func sampleMessages() []any {
 		ShutdownReq{},
 		StatsReq{},
 		WorkerStats{Handled: 17, Replayed: 2},
-		JobSnapshot{
-			Kind:     KindPageRank,
-			Parts:    []PartState{{Part: 1, Vertices: []VertexVal{{ID: 4, Label: 4, Rank: 0.1}}}},
-			Inbox:    []PartMsgs{{Part: 1, Msgs: []Msg{{Dst: 4, Rank: 0.05}}}},
-			Dangling: 0.25, Rescatter: true,
-		},
-		checkpoint.CommitRecord{Epoch: 9, Superstep: 4, Parts: map[int]uint64{2: 9}, Compressed: true},
 		DataFetchReq{Stream: 11, ChunkVerts: 4096, Parts: []int{0, 3}},
 		DataRestoreReq{Stream: 12},
 		DataChunk{
@@ -65,10 +57,9 @@ func sampleMessages() []any {
 }
 
 // decodeInChild pipes the frame bytes into a freshly started
-// subprocess decoder (this test binary re-executed with the gob-check
-// env set — a fresh gob type registry and nothing shared with the
-// encoder beyond the package init) and returns the child's per-frame
-// %#v digests.
+// subprocess decoder (this test binary re-executed with the wire-check
+// env set — nothing shared with the encoder) and returns the child's
+// per-frame %#v digests.
 func decodeInChild(t *testing.T, frames []byte) []string {
 	t.Helper()
 	exe, err := os.Executable()
@@ -76,13 +67,13 @@ func decodeInChild(t *testing.T, frames []byte) []string {
 		t.Fatalf("os.Executable: %v", err)
 	}
 	cmd := oexec.Command(exe)
-	cmd.Env = append(os.Environ(), envGobCheck+"=1")
+	cmd.Env = append(os.Environ(), envWireCheck+"=1")
 	cmd.Stdin = bytes.NewReader(frames)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("gob-check child: %v (stderr: %s)", err, stderr.String())
+		t.Fatalf("wire-check child: %v (stderr: %s)", err, stderr.String())
 	}
 	sc := bufio.NewScanner(bytes.NewReader(out))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -96,14 +87,35 @@ func decodeInChild(t *testing.T, frames []byte) []string {
 	return got
 }
 
-// checkChildRoundTrip encodes every sample under the given wire policy
-// and compares the subprocess decoder's digests against the parent's
-// rendering of what it sent.
-func checkChildRoundTrip(t *testing.T, samples []any, wc *wireCfg) {
+// checkKindCoverage fails the test unless msgs holds a message of
+// every payload kind in kindNames.
+func checkKindCoverage(t *testing.T, msgs []any) {
 	t.Helper()
+	seen := make(map[byte]bool)
+	for _, m := range msgs {
+		b, err := appendFrame(nil, 0, m, wire.MaxFrame)
+		if err != nil {
+			t.Fatalf("encoding %T: %v", m, err)
+		}
+		seen[b[netfault.HeaderLen+2]] = true // after the codec and version bytes
+	}
+	for k, name := range kindNames {
+		if name != "" && !seen[byte(k)] {
+			t.Errorf("no sample of payload kind %d (%s)", k, name)
+		}
+	}
+}
+
+// TestWireCompatAcrossProcesses round-trips one populated sample of
+// every payload kind through a fresh subprocess decoder. A kind
+// without a sample, or a codec asymmetry, fails here instead of
+// mid-superstep in production.
+func TestWireCompatAcrossProcesses(t *testing.T) {
+	samples := sampleMessages()
+	checkKindCoverage(t, samples)
 	var frames bytes.Buffer
 	for _, m := range samples {
-		if err := writeFrameCfg(&frames, 0, m, wc); err != nil {
+		if err := writeFrame(&frames, 0, m, wire.MaxFrame); err != nil {
 			t.Fatalf("encoding %T: %v", m, err)
 		}
 	}
@@ -119,35 +131,12 @@ func checkChildRoundTrip(t *testing.T, samples []any, wc *wireCfg) {
 	}
 }
 
-// TestGobWireCompatAcrossProcesses round-trips one populated sample of
-// every wire type through a fresh subprocess decoder under the default
-// policy — raw columnar for the hot-path kinds, gob for control frames.
-// A type gob cannot carry across processes, a type missing from the
-// registration list, or a raw codec asymmetry fails here instead of
-// mid-superstep in production.
-func TestGobWireCompatAcrossProcesses(t *testing.T) {
-	samples := sampleMessages()
-	wire := wireMessages()
-	if len(samples) != len(wire) {
-		t.Fatalf("sampleMessages has %d entries, wireMessages %d — keep the suites in lockstep",
-			len(samples), len(wire))
-	}
-	for i := range samples {
-		if got, want := reflect.TypeOf(samples[i]), reflect.TypeOf(wire[i]); got != want {
-			t.Fatalf("sample %d is %v, wireMessages lists %v", i, got, want)
+// TestEncodeRejectsNonWireType pins that a type without a payload kind
+// is an encode error rather than a frame.
+func TestEncodeRejectsNonWireType(t *testing.T) {
+	for _, m := range []any{JobSnapshot{}, struct{}{}, nil} {
+		if b, err := appendFrame(nil, 0, m, wire.MaxFrame); err == nil || len(b) != 0 {
+			t.Errorf("appendFrame(%T) = %d bytes, %v; want an error and no bytes", m, len(b), err)
 		}
 	}
-	checkChildRoundTrip(t, samples, defaultWire)
-}
-
-// TestGobFallbackWireCompatAcrossProcesses repeats the round trip with
-// every payload kind forced onto the gob fallback, pinning that the
-// fallback selectable via Config.GobPayloads stays cross-process
-// decodable too.
-func TestGobFallbackWireCompatAcrossProcesses(t *testing.T) {
-	gobKinds, err := parseGobPayloads([]string{PayloadStep, PayloadState, PayloadLoad, PayloadSnapshot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkChildRoundTrip(t, sampleMessages(), &wireCfg{gobKinds: gobKinds})
 }

@@ -42,9 +42,6 @@ type WorkerConfig struct {
 	// MaxFrameBytes caps frame payloads, mirroring Config.MaxFrameBytes
 	// (0 = the netfault hard ceiling).
 	MaxFrameBytes int
-	// GobPayloads mirrors Config.GobPayloads: payload kinds encoded
-	// with the gob fallback instead of the raw columnar codec.
-	GobPayloads []string
 }
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
@@ -81,11 +78,6 @@ var errFenced = errors.New("proc: fenced by coordinator")
 // without re-applying it.
 func RunWorker(cfg WorkerConfig) error {
 	cfg = cfg.withDefaults()
-	gobKinds, err := parseGobPayloads(cfg.GobPayloads)
-	if err != nil {
-		return err
-	}
-	wc := &wireCfg{maxFrame: cfg.MaxFrameBytes, gobKinds: gobKinds}
 	ctrl, err := dialHandshake(cfg, ConnCtrl)
 	if err != nil {
 		return err
@@ -110,10 +102,10 @@ func RunWorker(cfg WorkerConfig) error {
 		if err != nil {
 			return err
 		}
-		go serveData(cfg, wc, h, i, dc, done)
+		go serveData(cfg, h, i, dc, done)
 	}
 	for {
-		id, req, err := readFrameCfg(ctrl, wc)
+		id, req, err := readFrame(ctrl, cfg.MaxFrameBytes)
 		if err != nil {
 			ctrl.Close()
 			if ctrl, err = redial(cfg, ConnCtrl, err); err != nil {
@@ -122,11 +114,11 @@ func RunWorker(cfg WorkerConfig) error {
 			continue
 		}
 		if _, ok := req.(ShutdownReq); ok {
-			writeFrameCfg(ctrl, id, OKResp{}, wc)
+			writeFrame(ctrl, id, OKResp{}, cfg.MaxFrameBytes)
 			return nil
 		}
 		resp := h.dispatch(id, req)
-		if err := writeFrameCfg(ctrl, id, resp, wc); err != nil {
+		if err := writeFrame(ctrl, id, resp, cfg.MaxFrameBytes); err != nil {
 			// The response is lost with the connection, but its effect
 			// is cached: the coordinator retries the same token and is
 			// answered from the cache, not re-applied.
@@ -144,10 +136,10 @@ func RunWorker(cfg WorkerConfig) error {
 // the coordinator's pool marks it down and surviving slots carry the
 // load; if every slot dies the next transfer exhausts its budget and
 // condemns the worker over the ctrl path as usual.
-func serveData(cfg WorkerConfig, wc *wireCfg, h *workerHost, slot int, nc net.Conn, done <-chan struct{}) {
+func serveData(cfg WorkerConfig, h *workerHost, slot int, nc net.Conn, done <-chan struct{}) {
 	role := dataRole(slot)
 	for {
-		err := serveDataConn(cfg, wc, h, nc, done)
+		err := serveDataConn(cfg, h, nc, done)
 		nc.Close()
 		if err == nil {
 			return // done closed: clean shutdown
@@ -162,7 +154,7 @@ func serveData(cfg WorkerConfig, wc *wireCfg, h *workerHost, slot int, nc net.Co
 // (returned error) or the daemon shuts down (nil). A companion
 // goroutine closes the connection when done closes, unblocking the
 // read.
-func serveDataConn(cfg WorkerConfig, wc *wireCfg, h *workerHost, nc net.Conn, done <-chan struct{}) error {
+func serveDataConn(cfg WorkerConfig, h *workerHost, nc net.Conn, done <-chan struct{}) error {
 	finished := make(chan struct{})
 	defer close(finished)
 	go func() {
@@ -173,7 +165,7 @@ func serveDataConn(cfg WorkerConfig, wc *wireCfg, h *workerHost, nc net.Conn, do
 		}
 	}()
 	for {
-		_, m, err := readFrameCfg(nc, wc)
+		_, m, err := readFrame(nc, cfg.MaxFrameBytes)
 		if err != nil {
 			select {
 			case <-done:
@@ -184,9 +176,9 @@ func serveDataConn(cfg WorkerConfig, wc *wireCfg, h *workerHost, nc net.Conn, do
 		}
 		switch r := m.(type) {
 		case DataFetchReq:
-			err = h.serveFetchStream(cfg, wc, nc, r)
+			err = h.serveFetchStream(cfg, nc, r)
 		case DataRestoreReq:
-			err = h.serveRestoreStream(cfg, wc, nc, r)
+			err = h.serveRestoreStream(cfg, nc, r)
 		default:
 			err = fmt.Errorf("proc: worker %d data conn: unexpected %T", cfg.Worker, m)
 		}
@@ -201,13 +193,13 @@ func serveDataConn(cfg WorkerConfig, wc *wireCfg, h *workerHost, nc net.Conn, do
 // released, so a long transfer never stalls superstep RPCs. An unknown
 // partition is an application error (DataErr) — the stream stays
 // usable.
-func (h *workerHost) serveFetchStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn, r DataFetchReq) error {
+func (h *workerHost) serveFetchStream(cfg WorkerConfig, nc net.Conn, r DataFetchReq) error {
 	h.mu.Lock()
 	resp, err := h.fetch(FetchReq{Parts: r.Parts})
 	h.mu.Unlock()
 	if err != nil {
 		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
-		werr := writeFrameCfg(nc, 0, DataErr{Stream: r.Stream, Msg: fmt.Sprintf("worker %d: %v", h.worker, err)}, wc)
+		werr := writeFrame(nc, 0, DataErr{Stream: r.Stream, Msg: fmt.Sprintf("worker %d: %v", h.worker, err)}, cfg.MaxFrameBytes)
 		nc.SetWriteDeadline(time.Time{})
 		return werr
 	}
@@ -216,7 +208,7 @@ func (h *workerHost) serveFetchStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn
 		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
 		ch := DataChunk{Stream: r.Stream, Seq: seq, Done: done, Parts: frag}
 		seq++
-		return writeFrameCfg(nc, 0, ch, wc)
+		return writeFrame(nc, 0, ch, cfg.MaxFrameBytes)
 	})
 	nc.SetWriteDeadline(time.Time{})
 	return err
@@ -229,12 +221,12 @@ func (h *workerHost) serveFetchStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn
 // vertex) keeps draining the stream so the sender never blocks on a
 // full pipe, then answers DataErr. Each chunk read carries a deadline
 // so a silent half-open peer cannot park the slot forever.
-func (h *workerHost) serveRestoreStream(cfg WorkerConfig, wc *wireCfg, nc net.Conn, r DataRestoreReq) error {
+func (h *workerHost) serveRestoreStream(cfg WorkerConfig, nc net.Conn, r DataRestoreReq) error {
 	var appErr error
 	seq := uint32(0)
 	for {
 		nc.SetReadDeadline(time.Now().Add(cfg.ReconnectGrace))
-		_, m, err := readFrameCfg(nc, wc)
+		_, m, err := readFrame(nc, cfg.MaxFrameBytes)
 		nc.SetReadDeadline(time.Time{})
 		if err != nil {
 			return err
@@ -265,9 +257,9 @@ func (h *workerHost) serveRestoreStream(cfg WorkerConfig, wc *wireCfg, nc net.Co
 		nc.SetWriteDeadline(time.Now().Add(cfg.ReconnectGrace))
 		defer nc.SetWriteDeadline(time.Time{})
 		if appErr != nil {
-			return writeFrameCfg(nc, 0, DataErr{Stream: r.Stream, Msg: fmt.Sprintf("worker %d: %v", h.worker, appErr)}, wc)
+			return writeFrame(nc, 0, DataErr{Stream: r.Stream, Msg: fmt.Sprintf("worker %d: %v", h.worker, appErr)}, cfg.MaxFrameBytes)
 		}
-		return writeFrameCfg(nc, 0, DataAck{Stream: r.Stream}, wc)
+		return writeFrame(nc, 0, DataAck{Stream: r.Stream}, cfg.MaxFrameBytes)
 	}
 }
 
@@ -303,15 +295,15 @@ func dialHandshake(cfg WorkerConfig, role string) (net.Conn, error) {
 		return nil, fmt.Errorf("proc: worker %d dialing %s: %v", cfg.Worker, cfg.Addr, err)
 	}
 	hello := Hello{Proto: ProtoVersion, Worker: cfg.Worker, Token: cfg.Token, Conn: role}
-	if err := writeFrame(c, hello); err != nil {
+	if err := writeFrame(c, 0, hello, cfg.MaxFrameBytes); err != nil {
 		c.Close()
 		return nil, err
 	}
 	c.SetReadDeadline(time.Now().Add(cfg.HandshakeTimeout))
-	m, err := readFrame(c)
+	_, m, err := readFrame(c, cfg.MaxFrameBytes)
 	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("proc: worker %d %s handshake: %v", cfg.Worker, role, err)
+		return nil, fmt.Errorf("proc: worker %d %s handshake: %w", cfg.Worker, role, err)
 	}
 	switch resp := m.(type) {
 	case HelloOK:
@@ -353,7 +345,7 @@ func pushHeartbeats(nc net.Conn, cfg WorkerConfig, done <-chan struct{}) {
 			return
 		case <-t.C:
 			seq++
-			if nc != nil && writeFrame(nc, Heartbeat{Worker: cfg.Worker, Seq: seq}) == nil {
+			if nc != nil && writeFrame(nc, 0, Heartbeat{Worker: cfg.Worker, Seq: seq}, cfg.MaxFrameBytes) == nil {
 				continue
 			}
 			if nc != nil {

@@ -148,8 +148,15 @@ func (r *Reader) U8() byte {
 	return b[0]
 }
 
-// Bool reads one byte as a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads one byte as a bool. Only 0 and 1 are bools; any other
+// byte fails the reader, so a decoded bool re-encodes to the same byte.
+func (r *Reader) Bool() bool {
+	b := r.U8()
+	if b > 1 && r.err == nil {
+		r.err = fmt.Errorf("colbytes: bool byte %#x is not 0 or 1", b)
+	}
+	return b == 1
+}
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {

@@ -147,3 +147,15 @@ func TestStickyError(t *testing.T) {
 		t.Errorf("read after error = %d, want 0", got)
 	}
 }
+
+// TestBoolRejectsNonCanonical pins that only the bytes AppendBool
+// writes decode as bools, so a decoded bool re-encodes to its input.
+func TestBoolRejectsNonCanonical(t *testing.T) {
+	r := NewReader([]byte{0, 1, 2})
+	if r.Bool() || !r.Bool() || r.Err() != nil {
+		t.Fatalf("canonical bools misread (err %v)", r.Err())
+	}
+	if r.Bool() || r.Err() == nil {
+		t.Fatal("bool byte 2 was accepted")
+	}
+}

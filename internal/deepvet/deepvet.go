@@ -10,9 +10,8 @@
 //   - poolescape: engine-owned batch memory ([]any group views and
 //     KeyCol/ValCol column views outside internal/exec, *[]any and
 //     *ColBatch[V] pooled batches inside it) must not escape or be used
-//     after its recycle point. Outside the engine this is the typed,
-//     aliasing-aware successor of the syntactic batchretain rule: a
-//     view laundered through a local alias is still caught. Inside the
+//     after its recycle point. Outside the engine the taint flows
+//     through local aliases, so a laundered view is still caught. Inside the
 //     engine it enforces the DESIGN.md §2.1/§2.6 ownership rules: after
 //     putBatch/putColBatch/put or a channel send hands a batch away,
 //     any further use on any path is flagged.
@@ -98,7 +97,6 @@ func Rules() []RuleInfo {
 		{"panicprefix", "ast", "literal panic messages carry their package-name prefix"},
 		{"determinism", "ast", "replay packages read time only through internal/clock, never math/rand"},
 		{"globalvar", "ast", "algorithm packages declare no mutated package-level state"},
-		{"batchretain", "ast", "fast-path check: []any group views and KeyCol/ValCol columns must not syntactically escape UDFs"},
 		{"allowlist", "ast", "srclint package allowlists name only directories that still exist"},
 	}
 	for _, a := range Analyses() {

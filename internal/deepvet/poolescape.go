@@ -18,8 +18,7 @@ import (
 // or any local alias of it — must not escape through a return, a
 // channel send, a composite literal, a store into non-local memory, an
 // append as a single element, a call argument, or a closure capture.
-// Unlike the syntactic batchretain rule, the taint here flows through
-// assignments and re-slicing, so laundering the view through a local
+// The taint flows through assignments and re-slicing, so laundering the view through a local
 // alias is still caught. Reading elements out (indexing, range, copy,
 // append with ... spread) is the supported way to retain data and
 // stays legal.

@@ -48,6 +48,13 @@ func launder(dst exec.KeyCol) exec.KeyCol {
 	return e // return of a transitive alias
 }
 
+// launderVar: an alias introduced by a var declaration carries the
+// column out as well.
+func launderVar(h *colHolder, dst exec.KeyCol) {
+	var alias = dst
+	h.keys = alias // store to non-local memory, via the var alias
+}
+
 // apply is the real columnar consumption idiom — index both columns in
 // place, copy out the rows that matter, never retain the views — and
 // must stay clean.

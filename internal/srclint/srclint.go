@@ -17,17 +17,10 @@
 //     never import math/rand;
 //   - globalvar:   internal/algo packages declare no package-level var
 //     that the package itself mutates; algorithm state belongs in job
-//     structs, where recovery can snapshot and restore it;
-//   - batchretain: outside internal/exec, a function taking a []any
-//     parameter (the engine's group views and exchange batches) or a
-//     columnar view parameter — KeyCol / ValCol as internal/exec
-//     spells them, ColKeys / ColVals as the optiflow facade aliases
-//     them, bare or package-qualified — may only read it — range over
-//     it, index it, take len/cap, copy out of it. Storing the slice,
-//     returning it, appending it, sending it, or passing it to another
-//     call is flagged: the engine recycles batch memory (and rewrites
-//     column scratch) after the UDF returns, so a retained slice would
-//     alias records from later batches.
+//     structs, where recovery can snapshot and restore it.
+//
+// Retention of engine-owned batch views is checked by the typed
+// poolescape rule of internal/deepvet, not here.
 //
 // Analysis is purely syntactic. Identifier/shadowing resolution uses
 // the parser's per-file object resolution: a same-named local variable
@@ -290,9 +283,6 @@ func CheckPackageDir(dir, rel string) ([]Finding, error) {
 	if rel == "internal/algo" || strings.HasPrefix(rel, "internal/algo/") {
 		checkGlobalVars(files, add)
 	}
-	if rel != "internal/exec" && !strings.HasPrefix(rel, "internal/exec/") {
-		checkBatchRetain(files, add)
-	}
 	return findings, nil
 }
 
@@ -499,284 +489,4 @@ func checkGlobalVars(files []*ast.File, add func(token.Pos, string, string, ...a
 			return true
 		})
 	}
-}
-
-// isAnySliceType reports whether the type expression is []any (or the
-// spelled-out []interface{}).
-func isAnySliceType(e ast.Expr) bool {
-	arr, ok := e.(*ast.ArrayType)
-	if !ok || arr.Len != nil {
-		return false
-	}
-	switch elt := arr.Elt.(type) {
-	case *ast.Ident:
-		return elt.Name == "any"
-	case *ast.InterfaceType:
-		return elt.Methods == nil || len(elt.Methods.List) == 0
-	}
-	return false
-}
-
-// colViewTypeName matches the columnar view spellings by name: the
-// exec declarations (KeyCol, ValCol) and the optiflow facade aliases
-// (ColKeys, ColVals), bare or package-qualified. Matching is by
-// spelling, like the rest of srclint; a same-named type from another
-// package is flagged too, which errs in the safe direction.
-func colViewTypeName(e ast.Expr) (string, bool) {
-	name := ""
-	switch x := e.(type) {
-	case *ast.Ident:
-		name = x.Name
-	case *ast.SelectorExpr:
-		name = x.Sel.Name
-	}
-	switch name {
-	case "KeyCol", "ValCol", "ColKeys", "ColVals":
-		return name, true
-	}
-	return "", false
-}
-
-// batchViewTypeName classifies a parameter type expression as an
-// engine batch view and names its class: []any boxed group views, or
-// a columnar key/value column (generic instantiations like
-// ValCol[float64] and exec.ValCol[V] match through the index
-// expression).
-func batchViewTypeName(e ast.Expr) (string, bool) {
-	if isAnySliceType(e) {
-		return "[]any", true
-	}
-	if ix, ok := e.(*ast.IndexExpr); ok {
-		return colViewTypeName(ix.X)
-	}
-	return colViewTypeName(e)
-}
-
-// checkBatchRetain flags functions outside internal/exec that let a
-// batch-view parameter — a []any group view or exchange batch, or a
-// columnar KeyCol/ValCol column — escape the call: assignment, return,
-// append, channel send, composite literal, or passing the slice to
-// another function. The engine recycles that memory after the UDF
-// returns; individual records may be kept, the slice may not.
-func checkBatchRetain(files []*ast.File, add func(token.Pos, string, string, ...any)) {
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var ft *ast.FuncType
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				ft, body = fn.Type, fn.Body
-			case *ast.FuncLit:
-				ft, body = fn.Type, fn.Body
-			default:
-				return true
-			}
-			if body == nil || ft.Params == nil {
-				return true
-			}
-			// Collect the batch-view parameters. Matching uses the
-			// parser's object resolution so a shadowing local of the same
-			// name is not confused with the parameter.
-			paramObjs := make(map[*ast.Object]bool)
-			paramNames := make(map[string]bool)
-			paramKind := make(map[string]string)
-			for _, field := range ft.Params.List {
-				kind, ok := batchViewTypeName(field.Type)
-				if !ok {
-					continue
-				}
-				for _, name := range field.Names {
-					if name.Name == "_" {
-						continue
-					}
-					paramNames[name.Name] = true
-					paramKind[name.Name] = kind
-					if name.Obj != nil {
-						paramObjs[name.Obj] = true
-					}
-				}
-			}
-			if len(paramNames) == 0 {
-				return true
-			}
-			checkBatchRetainBody(body, paramObjs, paramNames, paramKind, add)
-			return true
-		})
-	}
-}
-
-// checkBatchRetainBody walks one function body looking for escape
-// sites of the given []any parameters. Reads — range statements,
-// indexing, len/cap/copy — are not escape sites and pass untouched.
-//
-// Aliases are tracked to a fixpoint before reporting: `v := vals`,
-// `v = vals` and `var v = vals` each add v to the tracked set, so an
-// escape laundered through a chain of locals (the rule's historical
-// false negative — the alias declaration was flagged but a `var`
-// declaration was not, and escapes of the alias itself went unseen)
-// is reported at every aliasing step and at the final escape.
-func checkBatchRetainBody(body *ast.BlockStmt, paramObjs map[*ast.Object]bool, paramNames map[string]bool, paramKind map[string]string, add func(token.Pos, string, string, ...any)) {
-	// paramRef reports whether the expression is a bare parameter or a
-	// reslicing of one — the forms whose backing array the engine will
-	// recycle. Indexing (vals[0]) yields a single record and is fine.
-	var paramRef func(e ast.Expr) (string, bool)
-	paramRef = func(e ast.Expr) (string, bool) {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			return paramRef(x.X)
-		case *ast.SliceExpr:
-			return paramRef(x.X)
-		case *ast.Ident:
-			if !paramNames[x.Name] {
-				return "", false
-			}
-			if x.Obj != nil && !paramObjs[x.Obj] {
-				return "", false
-			}
-			return x.Name, true
-		}
-		return "", false
-	}
-	report := func(pos token.Pos, name, how string) {
-		kind := paramKind[name]
-		if kind == "" {
-			kind = "[]any"
-		}
-		add(pos, "batchretain",
-			"%s parameter %q (an engine-owned batch or group view) escapes via %s; the engine recycles the slice after the call — copy the records you need instead", kind, name, how)
-	}
-
-	// Alias closure: grow the tracked set until no assignment or var
-	// declaration introduces a new alias of a tracked slice. Aliases
-	// inherit the view class of their source for reporting.
-	trackAlias := func(id *ast.Ident, src string) bool {
-		if id == nil || id.Name == "_" || paramNames[id.Name] {
-			return false
-		}
-		paramNames[id.Name] = true
-		paramKind[id.Name] = paramKind[src]
-		if id.Obj != nil {
-			paramObjs[id.Obj] = true
-		}
-		return true
-	}
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				if len(st.Lhs) != len(st.Rhs) {
-					return true
-				}
-				for i, rhs := range st.Rhs {
-					src, ok := paramRef(rhs)
-					if !ok {
-						continue
-					}
-					if id, isIdent := st.Lhs[i].(*ast.Ident); isIdent && trackAlias(id, src) {
-						changed = true
-					}
-				}
-			case *ast.DeclStmt:
-				gd, ok := st.Decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.VAR {
-					return true
-				}
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for i, name := range vs.Names {
-						if i >= len(vs.Values) {
-							continue
-						}
-						if src, ok := paramRef(vs.Values[i]); ok && trackAlias(name, src) {
-							changed = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	isBlank := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && id.Name == "_"
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range st.Rhs {
-				name, ok := paramRef(rhs)
-				if !ok {
-					continue
-				}
-				// A blank assignment reads nothing and retains nothing.
-				if len(st.Lhs) == len(st.Rhs) && isBlank(st.Lhs[i]) {
-					continue
-				}
-				report(st.Pos(), name, "assignment")
-			}
-		case *ast.DeclStmt:
-			gd, ok := st.Decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, val := range vs.Values {
-					if name, ok := paramRef(val); ok {
-						if i < len(vs.Names) && vs.Names[i].Name == "_" {
-							continue
-						}
-						report(val.Pos(), name, "var declaration")
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range st.Results {
-				if name, ok := paramRef(res); ok {
-					report(st.Pos(), name, "return")
-				}
-			}
-		case *ast.SendStmt:
-			if name, ok := paramRef(st.Value); ok {
-				report(st.Pos(), name, "channel send")
-			}
-		case *ast.CompositeLit:
-			for _, elt := range st.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					elt = kv.Value
-				}
-				if name, ok := paramRef(elt); ok {
-					report(elt.Pos(), name, "composite literal")
-				}
-			}
-		case *ast.CallExpr:
-			if fn, ok := st.Fun.(*ast.Ident); ok && fn.Obj == nil {
-				switch fn.Name {
-				case "len", "cap", "copy":
-					return true
-				case "append":
-					for _, arg := range st.Args {
-						if name, ok := paramRef(arg); ok {
-							report(arg.Pos(), name, "append")
-						}
-					}
-					return true
-				}
-			}
-			for _, arg := range st.Args {
-				if name, ok := paramRef(arg); ok {
-					report(arg.Pos(), name, "call argument")
-				}
-			}
-		}
-		return true
-	})
 }

@@ -83,97 +83,6 @@ func TestGlobalVarRule(t *testing.T) {
 	}
 }
 
-func TestBatchRetainRule(t *testing.T) {
-	findings := lintFixture(t, "batchretain", "internal/udfs")
-	if got := countRule(findings, "batchretain"); got != 11 {
-		t.Fatalf("batchretain findings = %d, want 11: %v", got, findings)
-	}
-	escapes := map[string]bool{}
-	for _, f := range findings {
-		if f.Rule != "batchretain" {
-			continue
-		}
-		for _, how := range []string{"assignment", "append", "composite literal", "channel send", "call argument", "return", "var declaration"} {
-			if strings.Contains(f.Msg, "via "+how) {
-				escapes[how] = true
-			}
-		}
-	}
-	if len(escapes) != 7 {
-		t.Fatalf("expected all seven escape kinds, got %v: %v", escapes, findings)
-	}
-	// The historical false negative: an alias introduced by `var` and
-	// escaped later must be caught under the alias's own name.
-	var aliasVar, aliasReturn bool
-	for _, f := range findings {
-		if strings.Contains(f.Msg, `"vals"`) && strings.Contains(f.Msg, "via var declaration") {
-			aliasVar = true
-		}
-		if strings.Contains(f.Msg, `"alias"`) && strings.Contains(f.Msg, "via return") {
-			aliasReturn = true
-		}
-	}
-	if !aliasVar || !aliasReturn {
-		t.Fatalf("alias laundering not fully caught (var=%v, return-of-alias=%v): %v", aliasVar, aliasReturn, findings)
-	}
-	// Inside the engine the same file is legal: exec owns batch memory.
-	for _, rel := range []string{"internal/exec", "internal/exec/sub"} {
-		if fs := lintFixture(t, "batchretain", rel); countRule(fs, "batchretain") != 0 {
-			t.Fatalf("batchretain rule fired under %s: %v", rel, fs)
-		}
-	}
-}
-
-func TestBatchRetainColumnarRule(t *testing.T) {
-	findings := lintFixture(t, "batchretain_col", "internal/algo/cc")
-	if got := countRule(findings, "batchretain"); got != 11 {
-		t.Fatalf("columnar batchretain findings = %d, want 11: %v", got, findings)
-	}
-	wantKinds := map[string]int{
-		"via assignment":        3, // field store, reslice alias, store of the alias
-		"via channel send":      1,
-		"via composite literal": 1,
-		"via append":            1,
-		"via call argument":     1,
-		"via return":            3, // bare, qualified, alias
-		"via var declaration":   1,
-	}
-	for kind, want := range wantKinds {
-		got := 0
-		for _, f := range findings {
-			if strings.Contains(f.Msg, kind) {
-				got++
-			}
-		}
-		if got != want {
-			t.Fatalf("%q findings = %d, want %d: %v", kind, got, want, findings)
-		}
-	}
-	// Findings name the columnar spelling the parameter used — bare,
-	// exec-qualified and facade-aliased forms alike — never []any, and
-	// aliases inherit their source's class.
-	kinds := map[string]int{}
-	for _, f := range findings {
-		if strings.Contains(f.Msg, "[]any parameter") {
-			t.Fatalf("columnar finding misclassified as []any: %v", f)
-		}
-		for _, k := range []string{"KeyCol parameter", "ValCol parameter", "ColKeys parameter"} {
-			if strings.Contains(f.Msg, k) {
-				kinds[k]++
-			}
-		}
-	}
-	if kinds["KeyCol parameter"] != 8 || kinds["ValCol parameter"] != 2 || kinds["ColKeys parameter"] != 1 {
-		t.Fatalf("kind split = %v, want KeyCol=8 ValCol=2 ColKeys=1: %v", kinds, findings)
-	}
-	// Inside the engine the same file is legal: exec owns column memory.
-	for _, rel := range []string{"internal/exec", "internal/exec/sub"} {
-		if fs := lintFixture(t, "batchretain_col", rel); countRule(fs, "batchretain") != 0 {
-			t.Fatalf("columnar batchretain rule fired under %s: %v", rel, fs)
-		}
-	}
-}
-
 func TestValidateAllowlists(t *testing.T) {
 	// Against the real repo every allowlisted package must exist.
 	root, err := filepath.Abs(filepath.Join("..", ".."))
