@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"optiflow/internal/clock"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/iterate"
@@ -35,6 +36,10 @@ type Spec struct {
 // state, and the two-phase superstep protocol: compute on every
 // worker, then commit everywhere or abort everywhere, so an attempt
 // torn by a SIGKILL leaves worker state untouched and replayable.
+// Messages are combined at the sender: each worker folds them per
+// source partition and destination vertex and sends ascending runs,
+// which the driver merges into each partition's inbox in canonical
+// (Dst, Label, Rank) order.
 //
 // Job implements recovery.Job, so every recovery policy works
 // unchanged: Compensate is the paper's optimistic path (reinitialised
@@ -179,7 +184,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	var failed []int
 	ok := make(map[int]StepResp, len(owners))
 	pending := len(owners)
-	start := time.Now()
+	start := clock.Now()
 	var straggle <-chan time.Time
 	var watchdog *time.Timer
 	for pending > 0 {
@@ -193,7 +198,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 			}
 			if straggle == nil && j.co.cfg.StragglerFactor > 0 && pending > 0 &&
 				(len(ok)+len(failed))*2 >= len(owners) {
-				d := time.Duration(float64(time.Since(start)) * j.co.cfg.StragglerFactor)
+				d := time.Duration(float64(clock.Since(start)) * j.co.cfg.StragglerFactor)
 				if d < j.co.cfg.StragglerMin {
 					d = j.co.cfg.StragglerMin
 				}
@@ -219,10 +224,30 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		// Abort survivors: pending updates are dropped, committed state
 		// and the driver-side inbox stay as they were, so the attempt
 		// can be replayed after recovery.
-		for w := range ok {
-			j.co.call(w, AbortReq{})
-		}
+		j.abort(ok)
 		return iterate.StepStats{}, j.workerFailure(failed, owners)
+	}
+
+	// Each worker sends one run per destination partition, ascending
+	// by (Dst, Label, Rank); merging the runs yields the canonical
+	// inbox order the PageRank float fold depends on. A run out of
+	// order is a worker bug, not a failure recovery can mend, so the
+	// attempt aborts everywhere before anything commits.
+	workers := make([]int, 0, len(ok))
+	for w := range ok {
+		workers = append(workers, w)
+	}
+	sort.Ints(workers)
+	runs := make(map[int][][]Msg)
+	for _, w := range workers {
+		for _, pm := range ok[w].Outbox {
+			if i := unsortedAt(pm.Msgs); i >= 0 {
+				j.abort(ok)
+				return iterate.StepStats{}, fmt.Errorf("proc: superstep %d: worker %d sent partition %d's messages out of order at index %d",
+					ctx.Superstep, w, pm.Part, i)
+			}
+			runs[pm.Part] = append(runs[pm.Part], pm.Msgs)
+		}
 	}
 
 	var commitFailed []int
@@ -239,40 +264,22 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		return iterate.StepStats{}, j.workerFailure(commitFailed, owners)
 	}
 
-	// Committed everywhere: the attempt's outboxes become the next
-	// superstep's inbox. Messages are merged in worker order and sorted
-	// so float folds downstream are deterministic.
+	// Committed everywhere: the merged runs become the next
+	// superstep's inbox.
 	stats := iterate.StepStats{Extra: map[string]float64{}}
-	newInbox := make(map[int][]Msg)
+	newInbox := make(map[int][]Msg, len(runs))
+	for p, rs := range runs {
+		newInbox[p] = mergeRuns(rs...)
+	}
 	var dangling, l1 float64
 	folded := false
-	workers := make([]int, 0, len(ok))
-	for w := range ok {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
 	for _, w := range workers {
 		resp := ok[w]
-		for _, pm := range resp.Outbox {
-			newInbox[pm.Part] = append(newInbox[pm.Part], pm.Msgs...)
-		}
 		dangling += resp.Dangling
 		l1 += resp.L1
 		folded = folded || resp.Folded
 		stats.Messages += resp.Messages
 		stats.Updates += resp.Updates
-	}
-	for p := range newInbox {
-		msgs := newInbox[p]
-		sort.Slice(msgs, func(a, b int) bool {
-			if msgs[a].Dst != msgs[b].Dst {
-				return msgs[a].Dst < msgs[b].Dst
-			}
-			if msgs[a].Label != msgs[b].Label {
-				return msgs[a].Label < msgs[b].Label
-			}
-			return msgs[a].Rank < msgs[b].Rank
-		})
 	}
 	j.inbox = newInbox
 	j.dangling = dangling
@@ -282,6 +289,73 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	}
 	stats.Extra["l1"] = j.lastL1
 	return stats, nil
+}
+
+// abort drops the pending updates of every worker that computed the
+// attempt.
+func (j *Job) abort(ok map[int]StepResp) {
+	for w := range ok {
+		j.co.call(w, AbortReq{})
+	}
+}
+
+// msgLess is the canonical message order: by Dst, then Label, then
+// Rank.
+func msgLess(a, b Msg) bool {
+	if a.Dst != b.Dst {
+		return a.Dst < b.Dst
+	}
+	if a.Label != b.Label {
+		return a.Label < b.Label
+	}
+	return a.Rank < b.Rank
+}
+
+// unsortedAt returns the first index at which run steps backwards in
+// msgLess order, or -1 if run is ascending.
+func unsortedAt(run []Msg) int {
+	for i := 1; i < len(run); i++ {
+		if msgLess(run[i], run[i-1]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// mergeRuns merges runs, each ascending in msgLess order, into one
+// ascending slice; ties go to the earlier run. The result aliases the
+// only non-empty run if there is one. Runs are few — one per worker
+// on the driver, one per hosted partition on a worker — so a linear
+// scan of the heads beats a heap.
+func mergeRuns(runs ...[]Msg) []Msg {
+	rest := make([][]Msg, 0, len(runs))
+	n := 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			rest = append(rest, r)
+			n += len(r)
+		}
+	}
+	if len(rest) == 1 {
+		return rest[0]
+	}
+	out := make([]Msg, 0, n)
+	for len(rest) > 1 {
+		best := 0
+		for i := 1; i < len(rest); i++ {
+			if msgLess(rest[i][0], rest[best][0]) {
+				best = i
+			}
+		}
+		out = append(out, rest[best][0])
+		if rest[best] = rest[best][1:]; len(rest[best]) == 0 {
+			rest = append(rest[:best], rest[best+1:]...)
+		}
+	}
+	if len(rest) == 1 {
+		out = append(out, rest[0]...)
+	}
+	return out
 }
 
 // answered reports whether w already delivered a (failed) result.
@@ -306,7 +380,9 @@ func (j *Job) workerFailure(workers []int, owners map[int][]int) error {
 }
 
 // WorksetLen reports pending work for delta-iteration termination:
-// messages awaiting a fold, plus one if a (re)scatter is due.
+// the combined messages awaiting a fold (at most one per source
+// partition and destination vertex), plus one if a (re)scatter is
+// due.
 func (j *Job) WorksetLen() int {
 	n := 0
 	for _, msgs := range j.inbox {

@@ -10,6 +10,12 @@ import (
 // MaybeChildMode takes over and never returns. The parent run falls
 // through to the tests.
 func TestMain(m *testing.M) {
+	if os.Getenv(envMisorder) == "1" {
+		if err := runMisorderingWorker(); err != nil {
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
 	MaybeChildMode()
 	os.Exit(m.Run())
 }

@@ -1,10 +1,12 @@
 package proc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -396,6 +398,7 @@ type workerHost struct {
 	parts       map[int]*partition
 	pending     map[int]map[uint64]VertexVal
 	pendingStep int
+	out         outbox
 
 	// Idempotence cache: the last applied request token and its
 	// response. Ctrl RPCs are serialized, so depth one is exact — a
@@ -511,27 +514,73 @@ func (h *workerHost) partIDs() []int {
 	return ids
 }
 
-// outbox accumulates outgoing messages grouped by destination
-// partition (the same hash routing the state partitioning uses).
+// outbox combines outgoing messages at the sender. Messages from one
+// source partition are folded per destination vertex — the least
+// label for CC, the sum of rank contributions in vertex-scan order for
+// PageRank — so the combined messages, and every float sum, depend on
+// the partitioning alone, never on which worker hosts which partition.
+// Each source partition's result is filed as one Dst-ascending run per
+// destination partition; grouped merges the runs of all hosted source
+// partitions.
 type outbox struct {
-	numParts int
-	byPart   map[int][]Msg
+	sum     bool
+	at      map[uint64]int // Dst -> index in pending
+	pending []Msg
+	runs    [][][]Msg
 }
 
-func (o *outbox) add(m Msg) {
-	p := graph.Partition(graph.VertexID(m.Dst), o.numParts)
-	o.byPart[p] = append(o.byPart[p], m)
-}
-
-func (o *outbox) grouped() []PartMsgs {
-	parts := make([]int, 0, len(o.byPart))
-	for p := range o.byPart {
-		parts = append(parts, p)
+// reset readies the outbox for one superstep over the hosted
+// partitions, dropping whatever a failed attempt left unflushed.
+func (o *outbox) reset(h *workerHost) {
+	o.sum = h.kind == KindPageRank
+	o.runs = make([][][]Msg, h.numParts)
+	if o.at == nil {
+		o.at = make(map[uint64]int)
 	}
-	sort.Ints(parts)
-	out := make([]PartMsgs, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, PartMsgs{Part: p, Msgs: o.byPart[p]})
+	clear(o.at)
+	o.pending = o.pending[:0]
+}
+
+// add folds one message into the current source partition's set.
+func (o *outbox) add(m Msg) {
+	i, ok := o.at[m.Dst]
+	switch {
+	case !ok:
+		o.at[m.Dst] = len(o.pending)
+		o.pending = append(o.pending, m)
+	case o.sum:
+		o.pending[i].Rank += m.Rank
+	case m.Label < o.pending[i].Label:
+		o.pending[i].Label = m.Label
+	}
+}
+
+// flush ends the current source partition: its combined messages
+// become one Dst-ascending run per destination partition.
+func (o *outbox) flush() {
+	byPart := make([][]Msg, len(o.runs))
+	for _, m := range o.pending {
+		p := graph.Partition(graph.VertexID(m.Dst), len(o.runs))
+		byPart[p] = append(byPart[p], m)
+	}
+	for p, run := range byPart {
+		if len(run) > 0 {
+			slices.SortFunc(run, func(a, b Msg) int { return cmp.Compare(a.Dst, b.Dst) })
+			o.runs[p] = append(o.runs[p], run)
+		}
+	}
+	clear(o.at)
+	o.pending = o.pending[:0]
+}
+
+// grouped merges each destination partition's runs, partitions in
+// ascending order.
+func (o *outbox) grouped() []PartMsgs {
+	var out []PartMsgs
+	for p, runs := range o.runs {
+		if len(runs) > 0 {
+			out = append(out, PartMsgs{Part: p, Msgs: mergeRuns(runs...)})
+		}
 	}
 	return out
 }
@@ -544,7 +593,8 @@ func (h *workerHost) step(r StepReq) (*StepResp, error) {
 	}
 	h.pending = make(map[int]map[uint64]VertexVal)
 	h.pendingStep = r.Superstep
-	out := &outbox{numParts: h.numParts, byPart: make(map[int][]Msg)}
+	out := &h.out
+	out.reset(h)
 	resp := &StepResp{}
 	var err error
 	switch h.kind {
@@ -612,6 +662,7 @@ func (h *workerHost) stepCC(r StepReq, out *outbox, resp *StepResp) error {
 				}
 			}
 		}
+		out.flush()
 	}
 	return nil
 }
@@ -632,6 +683,7 @@ func (h *workerHost) stepPR(r StepReq, out *outbox, resp *StepResp) error {
 				v := part.verts[id]
 				h.scatterRank(v, v.rank, out, resp)
 			}
+			out.flush()
 		}
 		return nil
 	}
@@ -655,6 +707,7 @@ func (h *workerHost) stepPR(r StepReq, out *outbox, resp *StepResp) error {
 			resp.Updates++
 			h.scatterRank(v, nv, out, resp)
 		}
+		out.flush()
 	}
 	resp.Folded = true
 	return nil
