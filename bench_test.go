@@ -395,6 +395,19 @@ func benchPRJob() *pagerank.PR {
 	return pagerank.New(gen.Twitter(benchGraphSize, 1), 8, 0.85, nil)
 }
 
+// The checkpoint benchmarks without a Columnar suffix measure the boxed
+// engine's gob snapshots; the Columnar ones measure the raw column
+// sections of the columnar engine that Run uses by default.
+func benchCCColumnarJob() *cc.CC {
+	und := optiflow.NewGraphBuilder(false)
+	gen.Twitter(benchGraphSize, 3).Edges(func(e graph.Edge) { und.AddEdge(e.Src, e.Dst) })
+	return cc.NewColumnar(und.Build(), 8)
+}
+
+func benchPRColumnarJob() *pagerank.PR {
+	return pagerank.NewColumnar(gen.Twitter(benchGraphSize, 1), 8, 0.85, nil)
+}
+
 func benchCheckpointBarrier(b *testing.B, job recovery.IncrementalJob, pol optiflow.Policy, dirty func(i int)) {
 	b.Helper()
 	if err := pol.Setup(job); err != nil {
@@ -470,6 +483,14 @@ func BenchmarkCheckpointBarrier_PR_Sync(b *testing.B) {
 	benchCheckpointBarrier(b, benchPRJob(), recovery.NewCheckpoint(1, checkpoint.NewMemoryStore()), nil)
 }
 
+func BenchmarkCheckpointBarrier_CC_SyncColumnar(b *testing.B) {
+	benchCheckpointBarrier(b, benchCCColumnarJob(), recovery.NewCheckpoint(1, checkpoint.NewMemoryStore()), nil)
+}
+
+func BenchmarkCheckpointBarrier_PR_SyncColumnar(b *testing.B) {
+	benchCheckpointBarrier(b, benchPRColumnarJob(), recovery.NewCheckpoint(1, checkpoint.NewMemoryStore()), nil)
+}
+
 func BenchmarkCheckpointBarrier_PR_Async(b *testing.B) {
 	benchCheckpointBarrier(b, benchPRJob(), recovery.NewAsyncCheckpoint(1, checkpoint.NewMemoryStore(), 4), nil)
 }
@@ -503,8 +524,14 @@ func BenchmarkCheckpointCompress(b *testing.B) {
 }
 
 func BenchmarkCheckpoint_SnapshotEncode(b *testing.B) {
-	g := gen.Twitter(benchGraphSize, 1)
-	pr := pagerank.New(g, 4, 0.85, nil)
+	benchSnapshotEncode(b, pagerank.New(gen.Twitter(benchGraphSize, 1), 4, 0.85, nil))
+}
+
+func BenchmarkCheckpoint_SnapshotEncodeColumnar(b *testing.B) {
+	benchSnapshotEncode(b, pagerank.NewColumnar(gen.Twitter(benchGraphSize, 1), 4, 0.85, nil))
+}
+
+func benchSnapshotEncode(b *testing.B, pr *pagerank.PR) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,15 +5,16 @@
 // ExpandCopy over the CSR adjacency folded with min — so a converged
 // steady-state superstep allocates nothing. Recovery semantics are
 // identical to the boxed path: same compensation function, same pending
-// re-activation log, and label snapshots use the same wire format.
+// re-activation log. Snapshots are flat column sections (state's
+// columnar codec), not the boxed path's gob streams.
 package cc
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"optiflow/internal/checkpoint"
+	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/state"
@@ -176,22 +177,49 @@ func (c *colCC) convergedCount(truth map[graph.VertexID]graph.VertexID) int {
 }
 
 func (c *colCC) snapshotTo(buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := c.labels.EncodeTo(enc); err != nil {
-		return err
-	}
-	return c.workset.EncodeTo(enc)
+	appendSnapshot(buf, c.labels, c.workset, 0, c.pt.N)
+	return nil
 }
 
 func (c *colCC) restoreFrom(data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := c.labels.DecodeFrom(dec); err != nil {
-		return err
-	}
-	if err := c.workset.DecodeFrom(dec); err != nil {
+	if err := c.restore(data, 0, c.pt.N); err != nil {
 		return err
 	}
 	c.next.ClearAll()
+	return nil
+}
+
+// appendSnapshot writes the label and workset sections of partitions
+// [lo, hi) with one Grow: the full snapshot is [0, N), the
+// per-partition and async forms [p, p+1).
+func appendSnapshot(buf *bytes.Buffer, labels *state.DenseStore[uint64], workset *state.ColWorkset[uint64], lo, hi int) {
+	buf.Grow(labels.SnapshotLen(state.U64, lo, hi) + workset.SnapshotLen(state.U64, lo, hi))
+	b := labels.AppendSnapshot(buf.AvailableBuffer(), state.U64, lo, hi)
+	buf.Write(workset.AppendSnapshot(b, state.U64, lo, hi))
+}
+
+// parse reads a blob of appendSnapshot without touching the job.
+func (c *colCC) parse(data []byte, lo, hi int) (*state.DenseImage[uint64], *state.WorksetImage[uint64], error) {
+	r := colbytes.NewReader(data)
+	labels, err := c.labels.ReadSnapshot(r, state.U64, lo, hi)
+	if err != nil {
+		return nil, nil, err
+	}
+	workset, err := c.workset.ReadSnapshot(r, state.U64, c.pt, lo, hi)
+	if err != nil {
+		return nil, nil, err
+	}
+	return labels, workset, state.CheckEnd(r)
+}
+
+// restore installs a blob of appendSnapshot once all of it has parsed.
+func (c *colCC) restore(data []byte, lo, hi int) error {
+	labels, workset, err := c.parse(data, lo, hi)
+	if err != nil {
+		return err
+	}
+	labels.Install()
+	workset.Install()
 	return nil
 }
 
@@ -247,25 +275,18 @@ func (c *colCC) partitionVersions() []uint64 {
 }
 
 func (c *colCC) snapshotPartition(p int, buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := c.labels.EncodePartition(p, enc); err != nil {
-		return err
-	}
-	return c.workset.EncodePartition(p, enc)
+	appendSnapshot(buf, c.labels, c.workset, p, p+1)
+	return nil
 }
 
 func (c *colCC) restorePartition(p int, data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := c.labels.DecodePartition(p, dec); err != nil {
-		return err
-	}
-	return c.workset.DecodePartition(p, dec)
+	return c.restore(data, p, p+1)
 }
 
 // captureSnapshot is the async-checkpoint capture: O(partitions)
 // copy-on-write views of the label columns and shared slice views of
-// the workset columns, encoded from checkpoint goroutines without
-// re-boxing a single record.
+// the workset columns, encoded from checkpoint goroutines in the same
+// sections as snapshotPartition.
 func (c *colCC) captureSnapshot() checkpoint.PartitionSnapshot {
 	return colCCCapture{labels: c.labels.SnapshotShared(), workset: c.workset.SnapshotShared()}
 }
@@ -278,38 +299,41 @@ type colCCCapture struct {
 func (s colCCCapture) NumPartitions() int { return s.labels.NumPartitions() }
 
 func (s colCCCapture) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := s.labels.EncodePartition(p, enc); err != nil {
-		return err
-	}
-	return s.workset.EncodePartition(p, enc)
+	appendSnapshot(buf, s.labels, s.workset, p, p+1)
+	return nil
 }
 
+// snapshotDelta writes the label delta section and a full workset
+// section.
 func (c *colCC) snapshotDelta(buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := c.labels.EncodeDelta(enc); err != nil {
-		return err
-	}
-	return c.workset.EncodeTo(enc)
+	buf.Grow(c.labels.DeltaLen(state.U64) + c.workset.SnapshotLen(state.U64, 0, c.pt.N))
+	b := c.labels.AppendDelta(buf.AvailableBuffer(), state.U64)
+	buf.Write(c.workset.AppendSnapshot(b, state.U64, 0, c.pt.N))
+	return nil
 }
 
+// restoreFromChain applies every delta to the parsed base image and
+// installs only once the whole chain has parsed; the newest workset
+// wins.
 func (c *colCC) restoreFromChain(base []byte, deltas [][]byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(base))
-	if err := c.labels.DecodeFrom(dec); err != nil {
-		return err
-	}
-	if err := c.workset.DecodeFrom(dec); err != nil {
+	labels, workset, err := c.parse(base, 0, c.pt.N)
+	if err != nil {
 		return err
 	}
 	for i, d := range deltas {
-		dec := gob.NewDecoder(bytes.NewReader(d))
-		if err := c.labels.ApplyDelta(dec); err != nil {
-			return fmt.Errorf("cc: delta %d: %v", i, err)
+		r := colbytes.NewReader(d)
+		if err := labels.ReadDelta(r, state.U64); err != nil {
+			return fmt.Errorf("cc: delta %d: %w", i, err)
 		}
-		if err := c.workset.DecodeFrom(dec); err != nil {
-			return fmt.Errorf("cc: delta %d: %v", i, err)
+		if workset, err = c.workset.ReadSnapshot(r, state.U64, c.pt, 0, c.pt.N); err != nil {
+			return fmt.Errorf("cc: delta %d: %w", i, err)
+		}
+		if err := state.CheckEnd(r); err != nil {
+			return fmt.Errorf("cc: delta %d: %w", i, err)
 		}
 	}
+	labels.Install()
+	workset.Install()
 	c.next.ClearAll()
 	c.labels.MarkClean()
 	return nil

@@ -10,11 +10,11 @@ package pagerank
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 
 	"optiflow/internal/checkpoint"
+	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/state"
@@ -188,20 +188,51 @@ func (c *colPR) rankVector() map[graph.VertexID]float64 {
 	return out
 }
 
+// snapshotTo writes the convergence marker, then the rank section.
 func (c *colPR) snapshotTo(pr *PR, buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := enc.Encode(pr.lastL1); err != nil {
-		return fmt.Errorf("pagerank: encoding snapshot: %v", err)
-	}
-	return c.ranks.EncodeTo(enc)
+	buf.Grow(8 + c.ranks.SnapshotLen(state.F64, 0, c.pt.N))
+	b := colbytes.AppendF64(buf.AvailableBuffer(), pr.lastL1)
+	buf.Write(c.ranks.AppendSnapshot(b, state.F64, 0, c.pt.N))
+	return nil
 }
 
 func (c *colPR) restoreFrom(pr *PR, data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&pr.lastL1); err != nil {
-		return fmt.Errorf("pagerank: decoding snapshot: %v", err)
+	r := colbytes.NewReader(data)
+	lastL1 := r.F64()
+	if err := c.restore(r, 0, c.pt.N); err != nil {
+		return err
 	}
-	return c.ranks.DecodeFrom(dec)
+	pr.lastL1 = lastL1
+	return nil
+}
+
+func (c *colPR) snapshotPartition(p int, buf *bytes.Buffer) error {
+	appendPartition(buf, c.ranks, p)
+	return nil
+}
+
+func (c *colPR) restorePartition(p int, data []byte) error {
+	return c.restore(colbytes.NewReader(data), p, p+1)
+}
+
+// restore reads the rank section of partitions [lo, hi) that ends the
+// blob and installs it only once all of it has parsed.
+func (c *colPR) restore(r *colbytes.Reader, lo, hi int) error {
+	ranks, err := c.ranks.ReadSnapshot(r, state.F64, lo, hi)
+	if err == nil {
+		err = state.CheckEnd(r)
+	}
+	if err != nil {
+		return err
+	}
+	ranks.Install()
+	return nil
+}
+
+// appendPartition writes partition p's rank section with one Grow.
+func appendPartition(buf *bytes.Buffer, ranks *state.DenseStore[float64], p int) {
+	buf.Grow(ranks.SnapshotLen(state.F64, p, p+1))
+	buf.Write(ranks.AppendSnapshot(buf.AvailableBuffer(), state.F64, p, p+1))
 }
 
 func (c *colPR) clearPartitions(parts []int) {
@@ -220,7 +251,7 @@ func (c *colPR) partitionVersions() []uint64 {
 
 // captureSnapshot is the async-checkpoint capture: an O(partitions)
 // copy-on-write view of the rank columns, encoded from checkpoint
-// goroutines directly — no per-record re-boxing.
+// goroutines in the same sections as snapshotPartition.
 func (c *colPR) captureSnapshot() checkpoint.PartitionSnapshot {
 	return colPRCapture{ranks: c.ranks.SnapshotShared()}
 }
@@ -232,5 +263,6 @@ type colPRCapture struct {
 func (s colPRCapture) NumPartitions() int { return s.ranks.NumPartitions() }
 
 func (s colPRCapture) SnapshotPartition(p int, buf *bytes.Buffer) error {
-	return s.ranks.EncodePartition(p, gob.NewEncoder(buf))
+	appendPartition(buf, s.ranks, p)
+	return nil
 }

@@ -461,7 +461,7 @@ func (pr *PR) PartitionVersions() []uint64 {
 // SnapshotPartition implements recovery.IncrementalJob.
 func (pr *PR) SnapshotPartition(p int, buf *bytes.Buffer) error {
 	if pr.col != nil {
-		return pr.col.ranks.EncodePartition(p, gob.NewEncoder(buf))
+		return pr.col.snapshotPartition(p, buf)
 	}
 	return pr.ranks.EncodePartition(p, gob.NewEncoder(buf))
 }
@@ -475,7 +475,7 @@ func (pr *PR) RestorePartition(p int, data []byte) error {
 	pr.lastL1 = math.Inf(1) // the convergence marker is global; be safe
 	pr.restoreMu.Unlock()
 	if pr.col != nil {
-		return pr.col.ranks.DecodePartition(p, gob.NewDecoder(bytes.NewReader(data)))
+		return pr.col.restorePartition(p, data)
 	}
 	return pr.ranks.DecodePartition(p, gob.NewDecoder(bytes.NewReader(data)))
 }
@@ -495,7 +495,8 @@ func (pr *PR) ResetToInitial() error {
 // CaptureSnapshot implements recovery.AsyncJob: an O(partitions)
 // copy-on-write view of the rank vector, safe to encode on background
 // goroutines while the next superstep runs. Per-partition encoding
-// matches SnapshotPartition byte for byte.
+// matches SnapshotPartition byte for byte, in either engine mode (gob
+// pairs when boxed, column sections when columnar).
 func (pr *PR) CaptureSnapshot() checkpoint.PartitionSnapshot {
 	if pr.col != nil {
 		return pr.col.captureSnapshot()

@@ -13,10 +13,10 @@ package sssp
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 
+	"optiflow/internal/colbytes"
 	"optiflow/internal/exec"
 	"optiflow/internal/graph"
 	"optiflow/internal/iterate"
@@ -178,24 +178,33 @@ func (c *colSSSP) Distances() map[graph.VertexID]float64 {
 	return out
 }
 
-// SnapshotTo implements recovery.Job.
+// SnapshotTo implements recovery.Job: the distance section, then the
+// workset section, written with one Grow.
 func (c *colSSSP) SnapshotTo(buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	if err := c.dist.EncodeTo(enc); err != nil {
-		return err
-	}
-	return c.workset.EncodeTo(enc)
+	n := c.pt.N
+	buf.Grow(c.dist.SnapshotLen(state.F64, 0, n) + c.workset.SnapshotLen(state.F64, 0, n))
+	b := c.dist.AppendSnapshot(buf.AvailableBuffer(), state.F64, 0, n)
+	buf.Write(c.workset.AppendSnapshot(b, state.F64, 0, n))
+	return nil
 }
 
-// RestoreFrom implements recovery.Job.
+// RestoreFrom implements recovery.Job; it installs nothing unless the
+// whole blob parses.
 func (c *colSSSP) RestoreFrom(data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := c.dist.DecodeFrom(dec); err != nil {
+	r := colbytes.NewReader(data)
+	dist, err := c.dist.ReadSnapshot(r, state.F64, 0, c.pt.N)
+	if err != nil {
 		return err
 	}
-	if err := c.workset.DecodeFrom(dec); err != nil {
+	workset, err := c.workset.ReadSnapshot(r, state.F64, c.pt, 0, c.pt.N)
+	if err != nil {
 		return err
 	}
+	if err := state.CheckEnd(r); err != nil {
+		return err
+	}
+	dist.Install()
+	workset.Install()
 	c.next.ClearAll()
 	return nil
 }

@@ -11,9 +11,10 @@ import (
 
 // Compressed wraps a Store with gzip compression: snapshots are
 // compressed before hitting stable storage and decompressed on load.
-// Iteration state is highly compressible (gob streams of similar
-// entries), so this trades CPU for a large cut in checkpoint volume —
-// experiment E6 reports both sides.
+// Iteration state is highly compressible (runs of similar entries,
+// whether boxed gob pairs or columnar sections), so this trades CPU
+// for a large cut in checkpoint volume — experiment E6 reports both
+// sides.
 func Compressed(inner Store) Store {
 	return &compressedStore{inner: inner}
 }

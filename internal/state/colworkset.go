@@ -1,9 +1,10 @@
 package state
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
+
+	"optiflow/internal/colbytes"
+	"optiflow/internal/graph"
 )
 
 // ColWorkset is the columnar counterpart of Workset: each partition's
@@ -12,18 +13,13 @@ import (
 // columnar superstep source streams them without per-item boxing.
 // Snapshot captures alias the column backing arrays exactly like
 // Workset.SnapshotShared (append-only between clears makes that safe),
-// and checkpoint encoders write the columns directly.
+// and checkpoint encoders dump the columns as they are (see
+// densebytes.go for the section layout).
 type ColWorkset[V any] struct {
 	name     string
 	idx      [][]int32
 	val      [][]V
 	versions []uint64
-}
-
-// colPart is the serialised form of one columnar workset partition.
-type colPart[V any] struct {
-	Idx []int32
-	Val []V
 }
 
 // NewColWorkset creates an empty columnar workset with nparts
@@ -102,16 +98,6 @@ func (w *ColWorkset[V]) Swap(other *ColWorkset[V]) {
 	w.val, other.val = other.val, w.val
 }
 
-// Snapshot returns a deep copy of the workset.
-func (w *ColWorkset[V]) Snapshot() *ColWorkset[V] {
-	c := NewColWorkset[V](w.name, len(w.idx))
-	for p := range w.idx {
-		c.idx[p] = append([]int32(nil), w.idx[p]...)
-		c.val[p] = append([]V(nil), w.val[p]...)
-	}
-	return c
-}
-
 // SnapshotShared returns an O(parts) capture sharing the column backing
 // arrays, safe because partitions are append-only between clears (see
 // Workset.SnapshotShared).
@@ -129,88 +115,81 @@ func (w *ColWorkset[V]) SnapshotShared() *ColWorkset[V] {
 	return c
 }
 
-// CopyFrom replaces the workset contents with those of other.
-func (w *ColWorkset[V]) CopyFrom(other *ColWorkset[V]) {
-	if len(w.idx) != len(other.idx) {
-		panic(fmt.Sprintf("state: CopyFrom: partition count mismatch %d != %d", len(w.idx), len(other.idx)))
+// SnapshotLen is the exact length of AppendSnapshot's section for
+// partitions [lo, hi).
+func (w *ColWorkset[V]) SnapshotLen(c Codec[V], lo, hi int) int {
+	n := headerLen(w.name)
+	for p := lo; p < hi; p++ {
+		n += 4 + len(w.idx[p])*(4+c.Width)
 	}
-	for p := range w.idx {
-		w.idx[p] = append([]int32(nil), other.idx[p]...)
-		w.val[p] = append([]V(nil), other.val[p]...)
-		w.bump(p)
-	}
+	return n
 }
 
-// Encode writes the workset to wr in gob encoding.
-func (w *ColWorkset[V]) Encode(wr io.Writer) error {
-	return w.EncodeTo(gob.NewEncoder(wr))
+// AppendSnapshot appends a snapshot section of partitions [lo, hi):
+// per partition the I32 index column, then the value column. Append
+// order is deterministic (fold tasks emit in ascending destination
+// order per superstep), so equal histories encode to identical bytes.
+func (w *ColWorkset[V]) AppendSnapshot(dst []byte, c Codec[V], lo, hi int) []byte {
+	dst = appendHeader(dst, w.name, lo, hi)
+	for p := lo; p < hi; p++ {
+		dst = colbytes.AppendI32s(dst, w.idx[p])
+		for _, v := range w.val[p] {
+			dst = c.Append(dst, v)
+		}
+	}
+	return dst
 }
 
-// EncodeTo appends the workset to an existing gob stream. Columns are
-// encoded as-is: append order is deterministic (fold tasks emit in
-// ascending destination order per superstep), so equal histories encode
-// to identical bytes.
-func (w *ColWorkset[V]) EncodeTo(enc *gob.Encoder) error {
-	if err := enc.Encode(w.name); err != nil {
-		return fmt.Errorf("state: encoding workset %q: %v", w.name, err)
-	}
-	parts := make([]colPart[V], len(w.idx))
-	for p := range w.idx {
-		parts[p] = colPart[V]{Idx: w.idx[p], Val: w.val[p]}
-	}
-	if err := enc.Encode(parts); err != nil {
-		return fmt.Errorf("state: encoding workset %q: %v", w.name, err)
-	}
-	return nil
+// WorksetImage is a parsed and validated ColWorkset section that has
+// not touched the workset yet.
+type WorksetImage[V any] struct {
+	w   *ColWorkset[V]
+	lo  int
+	idx [][]int32
+	val [][]V
 }
 
-// Decode replaces the workset contents from a gob stream.
-func (w *ColWorkset[V]) Decode(r io.Reader) error {
-	return w.DecodeFrom(gob.NewDecoder(r))
+// ReadSnapshot parses a section written by AppendSnapshot for the same
+// partition range. Every index must be a vertex of pt that partition p
+// owns: the engine routes each update to its owner, so any other index
+// is corruption that would otherwise fail the next superstep.
+func (w *ColWorkset[V]) ReadSnapshot(r *colbytes.Reader, c Codec[V], pt *graph.Partitioning, lo, hi int) (*WorksetImage[V], error) {
+	if err := readHeader(r, w.name, lo, hi); err != nil {
+		return nil, err
+	}
+	img := &WorksetImage[V]{w: w, lo: lo, idx: make([][]int32, hi-lo), val: make([][]V, hi-lo)}
+	for i := range img.idx {
+		p := lo + i
+		// A failed read leaves n zero; the final Err check reports it.
+		n := int(r.U32())
+		if n*(4+c.Width) > r.Remaining() {
+			return nil, corrupt(w.name, p, "%d updates overrun the %d bytes left", n, r.Remaining())
+		}
+		idx, val := make([]int32, n), make([]V, n)
+		for j := range idx {
+			x := int32(r.U32())
+			if x < 0 || int(x) >= len(pt.PartOf) || int(pt.PartOf[x]) != p {
+				return nil, corrupt(w.name, p, "index %d is not a vertex the partition owns", x)
+			}
+			idx[j] = x
+		}
+		for j := range val {
+			val[j] = c.Read(r)
+		}
+		img.idx[i], img.val[i] = idx, val
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: workset %q: %w", ErrSnapshotCorrupt, w.name, err)
+	}
+	return img, nil
 }
 
-// DecodeFrom reads the workset from an existing gob stream.
-func (w *ColWorkset[V]) DecodeFrom(dec *gob.Decoder) error {
-	var name string
-	if err := dec.Decode(&name); err != nil {
-		return fmt.Errorf("state: decoding workset: %v", err)
+// Install replaces the image's partitions in the workset. The image
+// must not be used afterwards.
+func (img *WorksetImage[V]) Install() {
+	for i := range img.idx {
+		p := img.lo + i
+		img.w.idx[p], img.w.val[p] = img.idx[i], img.val[i]
+		img.w.bump(p)
 	}
-	if name != w.name {
-		return fmt.Errorf("state: decoding workset: snapshot is of %q, want %q", name, w.name)
-	}
-	var parts []colPart[V]
-	if err := dec.Decode(&parts); err != nil {
-		return fmt.Errorf("state: decoding workset %q: %v", w.name, err)
-	}
-	if len(parts) != len(w.idx) {
-		return fmt.Errorf("state: decoding workset %q: snapshot has %d partitions, workset has %d",
-			w.name, len(parts), len(w.idx))
-	}
-	for p := range parts {
-		w.idx[p] = parts[p].Idx
-		w.val[p] = parts[p].Val
-		w.bump(p)
-	}
-	return nil
-}
-
-// EncodePartition appends one workset partition to a gob stream.
-func (w *ColWorkset[V]) EncodePartition(p int, enc *gob.Encoder) error {
-	if err := enc.Encode(colPart[V]{Idx: w.idx[p], Val: w.val[p]}); err != nil {
-		return fmt.Errorf("state: encoding workset %q partition %d: %v", w.name, p, err)
-	}
-	return nil
-}
-
-// DecodePartition replaces one workset partition from a gob stream
-// written by EncodePartition.
-func (w *ColWorkset[V]) DecodePartition(p int, dec *gob.Decoder) error {
-	var part colPart[V]
-	if err := dec.Decode(&part); err != nil {
-		return fmt.Errorf("state: decoding workset %q partition %d: %v", w.name, p, err)
-	}
-	w.idx[p] = part.Idx
-	w.val[p] = part.Val
-	w.bump(p)
-	return nil
 }
