@@ -258,12 +258,12 @@ func (c *Coordinator) dataFetch(p *workerProc, parts []int) ([]PartState, error)
 
 // appendFragments merges a chunk's fragments into the accumulated
 // state. The worker streams partitions in order, splitting large ones
-// across consecutive chunks, so a fragment either extends the last
-// partition or starts the next.
+// across consecutive chunks, so a fragment either continues the last
+// partition where it stopped or starts the next.
 func appendFragments(acc []PartState, frags []PartState) []PartState {
 	for _, f := range frags {
-		if n := len(acc); n > 0 && acc[n-1].Part == f.Part {
-			acc[n-1].Vertices = append(acc[n-1].Vertices, f.Vertices...)
+		if n := len(acc); n > 0 && acc[n-1].Part == f.Part && acc[n-1].First+len(acc[n-1].Vals) == f.First {
+			acc[n-1].Vals = append(acc[n-1].Vals, f.Vals...)
 			continue
 		}
 		acc = append(acc, f)
@@ -313,8 +313,8 @@ func (c *Coordinator) dataRestore(p *workerProc, parts []PartState) error {
 }
 
 // chunkStates cuts partition states into fragments of at most
-// maxVerts vertices (at least one vertex per fragment makes progress
-// even with a silly budget) and feeds them to emit; the final call has
+// maxVerts slots (at least one slot per fragment makes progress even
+// with a silly budget) and feeds them to emit; the final call has
 // done=true. An empty input still emits one empty Done chunk, so every
 // stream terminates explicitly.
 func chunkStates(parts []PartState, maxVerts int, emit func(frag []PartState, done bool) error) error {
@@ -330,23 +330,18 @@ func chunkStates(parts []PartState, maxVerts int, emit func(frag []PartState, do
 		return err
 	}
 	for _, ps := range parts {
-		vs := ps.Vertices
-		for len(vs) > 0 {
-			take := len(vs)
-			if take > budget {
-				take = budget
-			}
-			frag = append(frag, PartState{Part: ps.Part, Vertices: vs[:take]})
-			vs = vs[take:]
-			budget -= take
-			if budget == 0 {
+		if len(ps.Vals) == 0 {
+			frag = append(frag, ps)
+		}
+		for off := 0; off < len(ps.Vals); {
+			take := min(len(ps.Vals)-off, budget)
+			frag = append(frag, PartState{Part: ps.Part, First: ps.First + off, Vals: ps.Vals[off : off+take]})
+			off += take
+			if budget -= take; budget == 0 {
 				if err := flush(false); err != nil {
 					return err
 				}
 			}
-		}
-		if len(ps.Vertices) == 0 {
-			frag = append(frag, PartState{Part: ps.Part})
 		}
 	}
 	return flush(true)

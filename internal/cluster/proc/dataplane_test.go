@@ -63,8 +63,8 @@ func TestDataPlaneChunkedReassembly(t *testing.T) {
 
 		// Mutate every label, push it back chunked, and read it again.
 		for i := range got {
-			for j := range got[i].Vertices {
-				got[i].Vertices[j].Label += 100
+			for j := range got[i].Vals {
+				got[i].Vals[j] += 100
 			}
 		}
 		if err := co.restoreState(w, got); err != nil {

@@ -20,11 +20,11 @@ import (
 // bigFetchResp builds a raw-encodable payload big enough that any
 // per-element allocation would dominate the counters.
 func bigFetchResp(n int) FetchResp {
-	vs := make([]VertexVal, n)
+	vs := make([]uint64, n)
 	for i := range vs {
-		vs[i] = VertexVal{ID: uint64(i), Label: uint64(i % 7), Rank: 1 / float64(i+1)}
+		vs[i] = uint64(i % 7)
 	}
-	return FetchResp{Parts: []PartState{{Part: 0, Vertices: vs}}}
+	return FetchResp{Parts: []PartState{{Part: 0, Vals: vs}}}
 }
 
 // TestFrameEncodeAllocs pins the regression the pooled assembly buffer

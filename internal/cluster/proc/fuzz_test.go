@@ -70,21 +70,21 @@ func FuzzDecodeSnapshot(f *testing.F) {
 }
 
 // TestAdjacencyEdgeCountOverflow is the regression test for a LoadReq
-// whose declared edge count overflowed the bounds check's
-// multiplication and then panicked in makeslice: the frame must fail
-// with colbytes.ErrTruncated instead.
+// whose declared edge count exceeds the frame: the count must be
+// checked against the bytes left before anything is allocated, and
+// the frame must fail with colbytes.ErrTruncated.
 func TestAdjacencyEdgeCountOverflow(t *testing.T) {
 	frame, err := appendFrame(nil, 1, LoadReq{
-		Job: "j", Kind: KindCC, NumPartitions: 1, TotalVertices: 1,
-		Parts: []PartitionData{{Part: 0, Vertices: []VertexAdj{{ID: 0, Out: []uint64{0}}}}},
+		Job: "j", Kind: KindCC, NumPartitions: 1, TotalVertices: 1, PartOf: []int32{0},
+		Parts: []PartitionData{{Part: 0, Owned: []int32{0}, Degrees: []int32{1}, Targets: []int32{0}}},
 	}, fuzzFrameCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edgesAt := len(frame) - 16 // the edge count, then one 8-byte edge
-	for _, edges := range []uint64{1 << 61, ^uint64(0)} {
+	edgesAt := len(frame) - 8 // the target count, then one 4-byte target
+	for _, edges := range []uint32{1 << 30, ^uint32(0)} {
 		bad := bytes.Clone(frame)
-		binary.LittleEndian.PutUint64(bad[edgesAt:], edges)
+		binary.LittleEndian.PutUint32(bad[edgesAt:], edges)
 		_, _, err := decodeRawPayload(bad[netfault.HeaderLen+1:])
 		if !errors.Is(err, colbytes.ErrTruncated) {
 			t.Errorf("edges=%#x: err = %v, want colbytes.ErrTruncated", edges, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,15 +32,15 @@ type Spec struct {
 // Job runs an iterative algorithm with its state hosted ON the worker
 // processes — unlike the in-process jobs (cc.CC, pagerank.PR), whose
 // state lives in the driver and which use the cluster only for
-// membership. The driver keeps the partition adjacency (to re-load
-// partitions onto replacement workers), the between-superstep message
-// state, and the two-phase superstep protocol: compute on every
-// worker, then commit everywhere or abort everywhere, so an attempt
-// torn by a SIGKILL leaves worker state untouched and replayable.
-// Messages are combined at the sender: each worker folds them per
-// source partition and destination vertex and sends ascending runs,
-// which the driver merges into each partition's inbox in canonical
-// (Dst, Label, Rank) order.
+// membership. The driver keeps the graph's dense CSR rows per
+// partition (to re-load partitions onto replacement workers), the
+// between-superstep message runs, and the two-phase superstep
+// protocol: compute on every worker, then commit everywhere or abort
+// everywhere, so an attempt torn by a SIGKILL leaves worker state
+// untouched and replayable. Messages are combined at the sender by
+// exec's Combiner, per source partition and destination vertex; the
+// driver checks each run and relays it unmerged, filed under its
+// destination partition by source partition.
 //
 // Job implements recovery.Job, so every recovery policy works
 // unchanged: Compensate is the paper's optimistic path (reinitialised
@@ -50,11 +51,11 @@ type Job struct {
 	co   *Coordinator
 	spec Spec
 
-	numParts int
-	totalN   int
-	adj      map[int][]VertexAdj
+	d    *graph.Dense
+	pt   *graph.Partitioning
+	load []PartitionData // per partition, built once
 
-	inbox     map[int][]Msg
+	inbox     [][]MsgRun // per destination partition, ascending Src
 	dangling  float64
 	rescatter bool
 	lastL1    float64
@@ -69,24 +70,24 @@ func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 	if spec.Damping == 0 {
 		spec.Damping = 0.85
 	}
+	d := spec.Graph.Dense()
 	j := &Job{
 		co:        co,
 		spec:      spec,
-		numParts:  co.NumPartitions(),
-		totalN:    spec.Graph.NumVertices(),
-		adj:       make(map[int][]VertexAdj),
-		inbox:     make(map[int][]Msg),
+		d:         d,
+		pt:        d.Partitioning(co.NumPartitions()),
 		rescatter: true,
 		lastL1:    math.MaxFloat64,
 	}
-	for _, v := range spec.Graph.Vertices() {
-		p := graph.Partition(v, j.numParts)
-		out := spec.Graph.OutNeighbors(v)
-		va := VertexAdj{ID: uint64(v), Out: make([]uint64, len(out))}
-		for i, dst := range out {
-			va.Out[i] = uint64(dst)
+	j.inbox = make([][]MsgRun, j.pt.N)
+	j.load = make([]PartitionData, j.pt.N)
+	for p, owned := range j.pt.Owned {
+		pd := PartitionData{Part: p, Owned: owned, Degrees: make([]int32, len(owned))}
+		for s, v := range owned {
+			pd.Degrees[s] = d.Degree(v)
+			pd.Targets = append(pd.Targets, d.Targets[d.Offsets[v]:d.Offsets[v+1]]...)
 		}
-		j.adj[p] = append(j.adj[p], va)
+		j.load[p] = pd
 	}
 	co.setAssignHook(j.loadPartitions)
 	for _, w := range co.Workers() {
@@ -101,19 +102,20 @@ func NewJob(co *Coordinator, spec Spec) (*Job, error) {
 	return j, nil
 }
 
-// loadPartitions ships the listed partitions' adjacency (with
+// loadPartitions ships the listed partitions' CSR rows (with
 // superstep-zero state) to worker w — initial placement and every
 // adoption by a replacement or survivor.
 func (j *Job) loadPartitions(w int, parts []int) error {
 	req := LoadReq{
 		Job:           j.spec.Name,
 		Kind:          j.spec.Kind,
-		NumPartitions: j.numParts,
-		TotalVertices: j.totalN,
+		NumPartitions: j.pt.N,
+		TotalVertices: j.d.NumVertices(),
 		Damping:       j.spec.Damping,
+		PartOf:        j.pt.PartOf,
 	}
 	for _, p := range parts {
-		req.Parts = append(req.Parts, PartitionData{Part: p, Vertices: j.adj[p]})
+		req.Parts = append(req.Parts, j.load[p])
 	}
 	if _, err := j.co.call(w, req); err != nil {
 		return fmt.Errorf("proc: loading partitions %v onto worker %d: %v", parts, w, err)
@@ -150,9 +152,7 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 	for w, parts := range owners {
 		req := StepReq{Superstep: ctx.Superstep, Rescatter: j.rescatter, Dangling: j.dangling}
 		for _, p := range parts {
-			if msgs := j.inbox[p]; len(msgs) > 0 {
-				req.Inbox = append(req.Inbox, PartMsgs{Part: p, Msgs: msgs})
-			}
+			req.Inbox = append(req.Inbox, j.inbox[p]...)
 		}
 		go func(w int, req StepReq) {
 			resp, err := j.co.call(w, req)
@@ -228,25 +228,22 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		return iterate.StepStats{}, j.workerFailure(failed, owners)
 	}
 
-	// Each worker sends one run per destination partition, ascending
-	// by (Dst, Label, Rank); merging the runs yields the canonical
-	// inbox order the PageRank float fold depends on. A run out of
-	// order is a worker bug, not a failure recovery can mend, so the
+	// Every run must hold messages its destination partition owns, Dst
+	// strictly ascending, from a source partition its worker hosts. A
+	// bad run is a worker bug, not a failure recovery can mend, so the
 	// attempt aborts everywhere before anything commits.
 	workers := make([]int, 0, len(ok))
 	for w := range ok {
 		workers = append(workers, w)
 	}
 	sort.Ints(workers)
-	runs := make(map[int][][]Msg)
+	inbox := make([][]MsgRun, j.pt.N)
+	dangling := make([]float64, j.pt.N)
+	l1 := make([]float64, j.pt.N)
 	for _, w := range workers {
-		for _, pm := range ok[w].Outbox {
-			if i := unsortedAt(pm.Msgs); i >= 0 {
-				j.abort(ok)
-				return iterate.StepStats{}, fmt.Errorf("proc: superstep %d: worker %d sent partition %d's messages out of order at index %d",
-					ctx.Superstep, w, pm.Part, i)
-			}
-			runs[pm.Part] = append(runs[pm.Part], pm.Msgs)
+		if err := j.collect(w, owners[w], ok[w], inbox, dangling, l1); err != nil {
+			j.abort(ok)
+			return iterate.StepStats{}, fmt.Errorf("proc: superstep %d: %w", ctx.Superstep, err)
 		}
 	}
 
@@ -264,31 +261,77 @@ func (j *Job) Step(ctx *iterate.Context) (iterate.StepStats, error) {
 		return iterate.StepStats{}, j.workerFailure(commitFailed, owners)
 	}
 
-	// Committed everywhere: the merged runs become the next
-	// superstep's inbox.
+	// Committed everywhere: the runs become the next superstep's inbox,
+	// and the per-partition sums add up in ascending partition order,
+	// so neither depends on which worker hosts which partition.
 	stats := iterate.StepStats{Extra: map[string]float64{}}
-	newInbox := make(map[int][]Msg, len(runs))
-	for p, rs := range runs {
-		newInbox[p] = mergeRuns(rs...)
-	}
-	var dangling, l1 float64
 	folded := false
 	for _, w := range workers {
 		resp := ok[w]
-		dangling += resp.Dangling
-		l1 += resp.L1
 		folded = folded || resp.Folded
 		stats.Messages += resp.Messages
 		stats.Updates += resp.Updates
 	}
-	j.inbox = newInbox
-	j.dangling = dangling
+	for _, runs := range inbox {
+		slices.SortFunc(runs, func(a, b MsgRun) int { return a.Src - b.Src })
+	}
+	j.inbox = inbox
+	j.dangling = 0
+	var sumL1 float64
+	for p := range dangling {
+		j.dangling += dangling[p]
+		sumL1 += l1[p]
+	}
 	j.rescatter = false
 	if folded {
-		j.lastL1 = l1
+		j.lastL1 = sumL1
 	}
 	stats.Extra["l1"] = j.lastL1
 	return stats, nil
+}
+
+// collect checks worker w's step response and files it: each run under
+// its destination partition, each partition's sums at its index.
+func (j *Job) collect(w int, hosted []int, resp StepResp, inbox [][]MsgRun, dangling, l1 []float64) error {
+	for _, run := range resp.Outbox {
+		if !slices.Contains(hosted, run.Src) {
+			return fmt.Errorf("worker %d sent a run from partition %d, which it does not host", w, run.Src)
+		}
+		if err := j.checkRun(run); err != nil {
+			return fmt.Errorf("worker %d sent partition %d's run from partition %d: %v", w, run.Part, run.Src, err)
+		}
+		for _, prev := range inbox[run.Part] {
+			if prev.Src == run.Src {
+				return fmt.Errorf("worker %d sent partition %d two runs from partition %d", w, run.Part, run.Src)
+			}
+		}
+		inbox[run.Part] = append(inbox[run.Part], run)
+	}
+	for _, ps := range resp.Sums {
+		if !slices.Contains(hosted, ps.Part) {
+			return fmt.Errorf("worker %d reported sums for partition %d, which it does not host", w, ps.Part)
+		}
+		dangling[ps.Part], l1[ps.Part] = ps.Dangling, ps.L1
+	}
+	return nil
+}
+
+// checkRun is the relay's O(n) check of one run: a destination
+// partition that exists, columns of equal length, and Dst strictly
+// ascending and owned by that partition.
+func (j *Job) checkRun(run MsgRun) error {
+	if run.Part < 0 || run.Part >= j.pt.N || len(run.Dst) != len(run.Val) {
+		return fmt.Errorf("malformed: %d Dst and %d Val entries for one of %d partitions", len(run.Dst), len(run.Val), j.pt.N)
+	}
+	for i, dst := range run.Dst {
+		if i > 0 && dst <= run.Dst[i-1] {
+			return fmt.Errorf("messages out of order at index %d", i)
+		}
+		if dst < 0 || int(dst) >= len(j.pt.PartOf) || j.pt.PartOf[dst] != int32(run.Part) {
+			return fmt.Errorf("a message at index %d for vertex %d, which another partition owns", i, dst)
+		}
+	}
+	return nil
 }
 
 // abort drops the pending updates of every worker that computed the
@@ -297,65 +340,6 @@ func (j *Job) abort(ok map[int]StepResp) {
 	for w := range ok {
 		j.co.call(w, AbortReq{})
 	}
-}
-
-// msgLess is the canonical message order: by Dst, then Label, then
-// Rank.
-func msgLess(a, b Msg) bool {
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.Label != b.Label {
-		return a.Label < b.Label
-	}
-	return a.Rank < b.Rank
-}
-
-// unsortedAt returns the first index at which run steps backwards in
-// msgLess order, or -1 if run is ascending.
-func unsortedAt(run []Msg) int {
-	for i := 1; i < len(run); i++ {
-		if msgLess(run[i], run[i-1]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// mergeRuns merges runs, each ascending in msgLess order, into one
-// ascending slice; ties go to the earlier run. The result aliases the
-// only non-empty run if there is one. Runs are few — one per worker
-// on the driver, one per hosted partition on a worker — so a linear
-// scan of the heads beats a heap.
-func mergeRuns(runs ...[]Msg) []Msg {
-	rest := make([][]Msg, 0, len(runs))
-	n := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			rest = append(rest, r)
-			n += len(r)
-		}
-	}
-	if len(rest) == 1 {
-		return rest[0]
-	}
-	out := make([]Msg, 0, n)
-	for len(rest) > 1 {
-		best := 0
-		for i := 1; i < len(rest); i++ {
-			if msgLess(rest[i][0], rest[best][0]) {
-				best = i
-			}
-		}
-		out = append(out, rest[best][0])
-		if rest[best] = rest[best][1:]; len(rest[best]) == 0 {
-			rest = append(rest[:best], rest[best+1:]...)
-		}
-	}
-	if len(rest) == 1 {
-		out = append(out, rest[0]...)
-	}
-	return out
 }
 
 // answered reports whether w already delivered a (failed) result.
@@ -385,8 +369,10 @@ func (j *Job) workerFailure(workers []int, owners map[int][]int) error {
 // due.
 func (j *Job) WorksetLen() int {
 	n := 0
-	for _, msgs := range j.inbox {
-		n += len(msgs)
+	for _, runs := range j.inbox {
+		for _, run := range runs {
+			n += len(run.Dst)
+		}
 	}
 	if j.rescatter {
 		n++
@@ -404,7 +390,7 @@ func (j *Job) Name() string { return j.spec.Name }
 // SnapshotTo implements recovery.Job: it fetches every partition's
 // committed state from its owner — over the chunked data plane when
 // enabled — and serialises it together with the driver-side message
-// state as a raw snapshot blob. Partitions and messages are sorted, so
+// state as a raw snapshot blob. Partitions and runs are sorted, so
 // equal distributed states snapshot to equal bytes.
 func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 	snap := JobSnapshot{
@@ -427,15 +413,8 @@ func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 		snap.Parts = append(snap.Parts, fetched...)
 	}
 	sort.Slice(snap.Parts, func(a, b int) bool { return snap.Parts[a].Part < snap.Parts[b].Part })
-	partIDs := make([]int, 0, len(j.inbox))
-	for p := range j.inbox {
-		partIDs = append(partIDs, p)
-	}
-	sort.Ints(partIDs)
-	for _, p := range partIDs {
-		if len(j.inbox[p]) > 0 {
-			snap.Inbox = append(snap.Inbox, PartMsgs{Part: p, Msgs: j.inbox[p]})
-		}
+	for _, runs := range j.inbox {
+		snap.Inbox = append(snap.Inbox, runs...)
 	}
 	w.Write(appendSnapshot(nil, snap))
 	return nil
@@ -444,11 +423,22 @@ func (j *Job) SnapshotTo(w *bytes.Buffer) error {
 // RestoreFrom implements recovery.Job: it pushes the snapshot's
 // partition state back to the partitions' current owners — over the
 // chunked data plane when enabled — and restores the driver-side
-// message state. A blob that is not a raw snapshot is an error.
+// message state. A blob that is not a raw snapshot, or whose runs
+// fail the relay's check, is an error.
 func (j *Job) RestoreFrom(data []byte) error {
 	snap, err := decodeSnapshot(data)
 	if err != nil {
 		return fmt.Errorf("proc: restore: %v", err)
+	}
+	inbox := make([][]MsgRun, j.pt.N)
+	for _, run := range snap.Inbox {
+		if err := j.checkRun(run); err != nil {
+			return fmt.Errorf("proc: restore: snapshot run for partition %d from partition %d: %v", run.Part, run.Src, err)
+		}
+		if runs := inbox[run.Part]; len(runs) > 0 && runs[len(runs)-1].Src >= run.Src {
+			return fmt.Errorf("proc: restore: the snapshot's runs for partition %d are out of source order", run.Part)
+		}
+		inbox[run.Part] = append(inbox[run.Part], run)
 	}
 	byPart := make(map[int]PartState, len(snap.Parts))
 	for _, ps := range snap.Parts {
@@ -468,10 +458,7 @@ func (j *Job) RestoreFrom(data []byte) error {
 			return fmt.Errorf("proc: restore: pushing to worker %d: %v", w, err)
 		}
 	}
-	j.inbox = make(map[int][]Msg)
-	for _, pm := range snap.Inbox {
-		j.inbox[pm.Part] = pm.Msgs
-	}
+	j.inbox = inbox
 	j.dangling = snap.Dangling
 	j.rescatter = snap.Rescatter
 	j.lastL1 = math.MaxFloat64
@@ -502,7 +489,7 @@ func (j *Job) ClearPartitions(parts []int) {
 // vertex re-announces its label; PR: contributions are re-emitted from
 // current ranks and the rank mass contracts back to one).
 func (j *Job) Compensate([]int) error {
-	j.inbox = make(map[int][]Msg)
+	j.inbox = make([][]MsgRun, j.pt.N)
 	j.dangling = 0
 	j.rescatter = true
 	j.lastL1 = math.MaxFloat64
@@ -516,53 +503,65 @@ func (j *Job) ResetToInitial() error {
 			return fmt.Errorf("proc: reset: worker %d: %v", w, err)
 		}
 	}
-	j.inbox = make(map[int][]Msg)
+	j.inbox = make([][]MsgRun, j.pt.N)
 	j.dangling = 0
 	j.rescatter = true
 	j.lastL1 = math.MaxFloat64
 	return nil
 }
 
-// fetchAll collects every partition's committed state, over the data
-// plane when enabled.
-func (j *Job) fetchAll() ([]PartState, error) {
-	var out []PartState
-	for w, parts := range j.ownersSnapshot() {
-		fetched, err := j.co.fetchState(w, parts)
+// fetchVals collects every vertex's committed state value by dense
+// vertex index, over the data plane when enabled.
+func (j *Job) fetchVals() ([]uint64, error) {
+	var parts []PartState
+	for w, owned := range j.ownersSnapshot() {
+		fetched, err := j.co.fetchState(w, owned)
 		if err != nil {
 			return nil, fmt.Errorf("proc: fetching results from worker %d: %v", w, err)
 		}
-		out = append(out, fetched...)
+		parts = append(parts, fetched...)
 	}
-	return out, nil
+	vals := make([]uint64, j.d.NumVertices())
+	for _, ps := range parts {
+		if ps.Part < 0 || ps.Part >= j.pt.N || ps.First < 0 || ps.First > len(j.pt.Owned[ps.Part])-len(ps.Vals) {
+			return nil, fmt.Errorf("proc: fetched slots %d to %d of partition %d, which does not have them",
+				ps.First, ps.First+len(ps.Vals), ps.Part)
+		}
+		for i, v := range ps.Vals {
+			vals[j.pt.Owned[ps.Part][ps.First+i]] = v
+		}
+	}
+	return vals, nil
 }
 
-// Components returns every vertex's component label (CC jobs).
+// Components returns every vertex's component label (CC jobs). Workers
+// label by dense index; the labels map back to vertex IDs here.
 func (j *Job) Components() (map[graph.VertexID]graph.VertexID, error) {
-	parts, err := j.fetchAll()
+	vals, err := j.fetchVals()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[graph.VertexID]graph.VertexID, j.totalN)
-	for _, ps := range parts {
-		for _, v := range ps.Vertices {
-			out[graph.VertexID(v.ID)] = graph.VertexID(v.Label)
+	ids := j.d.IDs()
+	out := make(map[graph.VertexID]graph.VertexID, len(ids))
+	for i, label := range vals {
+		if label >= uint64(len(ids)) {
+			return nil, fmt.Errorf("proc: vertex %d has label %d, outside the %d vertices", ids[i], label, len(ids))
 		}
+		out[ids[i]] = ids[label]
 	}
 	return out, nil
 }
 
 // Ranks returns every vertex's rank (PageRank jobs).
 func (j *Job) Ranks() (map[graph.VertexID]float64, error) {
-	parts, err := j.fetchAll()
+	vals, err := j.fetchVals()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[graph.VertexID]float64, j.totalN)
-	for _, ps := range parts {
-		for _, v := range ps.Vertices {
-			out[graph.VertexID(v.ID)] = v.Rank
-		}
+	ids := j.d.IDs()
+	out := make(map[graph.VertexID]float64, len(ids))
+	for i, bits := range vals {
+		out[ids[i]] = math.Float64frombits(bits)
 	}
 	return out, nil
 }

@@ -10,8 +10,8 @@ import (
 // MaybeChildMode takes over and never returns. The parent run falls
 // through to the tests.
 func TestMain(m *testing.M) {
-	if os.Getenv(envMisorder) == "1" {
-		if err := runMisorderingWorker(); err != nil {
+	if mode := os.Getenv(envMisbehave); mode != "" {
+		if err := runMisbehavingWorker(mode); err != nil {
 			os.Exit(1)
 		}
 		os.Exit(0)

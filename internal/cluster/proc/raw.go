@@ -4,22 +4,18 @@ package proc
 // decoders composing the column segments of internal/colbytes under
 // the frame format of internal/cluster/proc/wire. Control messages
 // are a handful of scalars and strings; hot-path payloads — superstep
-// data, partition state, the checkpoint snapshot blob and the
-// data-plane stream messages — encode as struct-of-arrays columns: one
-// loop per field over all elements of all partitions, so a StepReq's
-// inbox hits the wire as three flat little-endian arrays. Decoders
-// allocate one exactly-sized arena per section and sub-slice it per
-// partition, so a frame decode costs O(1) allocations regardless of
-// partition count and nothing aliases the (pooled) receive buffer.
-// Every count read from the wire is checked against the bytes
-// remaining by division, never by a multiplication that could
-// overflow, before anything is allocated.
+// message runs, partition state, partition CSR rows, the checkpoint
+// snapshot blob and the data-plane stream messages — are a few scalars
+// per partition or run followed by its columns as colbytes segments
+// (int32 dense vertex indices, uint64 payloads). Decoders copy each
+// column into one exactly-sized slice, so a decode costs O(1)
+// allocations per partition or run and nothing aliases the (pooled)
+// receive buffer. Every count read from the wire is checked against
+// the bytes remaining before anything is allocated.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"optiflow/internal/cluster/proc/wire"
 	"optiflow/internal/colbytes"
@@ -69,21 +65,25 @@ func appendRawPayload(dst []byte, id uint64, m any) ([]byte, error) {
 		dst = colbytes.AppendU32(dst, uint32(r.Superstep))
 		dst = colbytes.AppendBool(dst, r.Rescatter)
 		dst = colbytes.AppendF64(dst, r.Dangling)
-		dst = appendMsgSection(dst, r.Inbox)
+		dst = appendRuns(dst, r.Inbox)
 	case StepResp:
 		kind = wire.KStepResp
-		dst = appendMsgSection(dst, r.Outbox)
-		dst = colbytes.AppendF64(dst, r.Dangling)
-		dst = colbytes.AppendF64(dst, r.L1)
+		dst = appendRuns(dst, r.Outbox)
+		dst = colbytes.AppendU32(dst, uint32(len(r.Sums)))
+		for _, ps := range r.Sums {
+			dst = colbytes.AppendU32(dst, uint32(ps.Part))
+			dst = colbytes.AppendF64(dst, ps.Dangling)
+			dst = colbytes.AppendF64(dst, ps.L1)
+		}
 		dst = colbytes.AppendBool(dst, r.Folded)
 		dst = colbytes.AppendU64(dst, uint64(r.Messages))
 		dst = colbytes.AppendU64(dst, uint64(r.Updates))
 	case FetchResp:
 		kind = wire.KFetchResp
-		dst = appendStateSection(dst, r.Parts)
+		dst = appendStates(dst, r.Parts)
 	case RestoreReq:
 		kind = wire.KRestoreReq
-		dst = appendStateSection(dst, r.Parts)
+		dst = appendStates(dst, r.Parts)
 	case LoadReq:
 		kind = wire.KLoadReq
 		dst = colbytes.AppendString(dst, r.Job)
@@ -91,7 +91,14 @@ func appendRawPayload(dst []byte, id uint64, m any) ([]byte, error) {
 		dst = colbytes.AppendU32(dst, uint32(r.NumPartitions))
 		dst = colbytes.AppendU64(dst, uint64(r.TotalVertices))
 		dst = colbytes.AppendF64(dst, r.Damping)
-		dst = appendAdjSection(dst, r.Parts)
+		dst = colbytes.AppendI32s(dst, r.PartOf)
+		dst = colbytes.AppendU32(dst, uint32(len(r.Parts)))
+		for _, pd := range r.Parts {
+			dst = colbytes.AppendU32(dst, uint32(pd.Part))
+			dst = colbytes.AppendI32s(dst, pd.Owned)
+			dst = colbytes.AppendI32s(dst, pd.Degrees)
+			dst = colbytes.AppendI32s(dst, pd.Targets)
+		}
 	case DataFetchReq:
 		kind = wire.KDataFetch
 		dst = colbytes.AppendU64(dst, r.Stream)
@@ -105,7 +112,7 @@ func appendRawPayload(dst []byte, id uint64, m any) ([]byte, error) {
 		dst = colbytes.AppendU64(dst, r.Stream)
 		dst = colbytes.AppendU32(dst, r.Seq)
 		dst = colbytes.AppendBool(dst, r.Done)
-		dst = appendStateSection(dst, r.Parts)
+		dst = appendStates(dst, r.Parts)
 	case DataAck:
 		kind = wire.KDataAck
 		dst = colbytes.AppendU64(dst, r.Stream)
@@ -184,20 +191,24 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 			Rescatter: r.Bool(),
 			Dangling:  r.F64(),
 		}
-		v.Inbox = readMsgSection(r)
+		v.Inbox = readRuns(r)
 		m = v
 	case wire.KStepResp:
-		v := StepResp{Outbox: readMsgSection(r)}
-		v.Dangling = r.F64()
-		v.L1 = r.F64()
+		v := StepResp{Outbox: readRuns(r)}
+		if n := readCount(r, 20, "partition sums"); n > 0 {
+			v.Sums = make([]PartSums, n)
+			for i := range v.Sums {
+				v.Sums[i] = PartSums{Part: int(r.U32()), Dangling: r.F64(), L1: r.F64()}
+			}
+		}
 		v.Folded = r.Bool()
 		v.Messages = int64(r.U64())
 		v.Updates = int64(r.U64())
 		m = v
 	case wire.KFetchResp:
-		m = FetchResp{Parts: readStateSection(r)}
+		m = FetchResp{Parts: readStates(r)}
 	case wire.KRestoreReq:
-		m = RestoreReq{Parts: readStateSection(r)}
+		m = RestoreReq{Parts: readStates(r)}
 	case wire.KLoadReq:
 		v := LoadReq{
 			Job:           r.String(),
@@ -205,8 +216,14 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 			NumPartitions: int(r.U32()),
 			TotalVertices: int(r.U64()),
 			Damping:       r.F64(),
+			PartOf:        r.I32s(nil),
 		}
-		v.Parts = readAdjSection(r)
+		if n := readCount(r, 16, "partition data"); n > 0 {
+			v.Parts = make([]PartitionData, n)
+			for i := range v.Parts {
+				v.Parts[i] = PartitionData{Part: int(r.U32()), Owned: r.I32s(nil), Degrees: r.I32s(nil), Targets: r.I32s(nil)}
+			}
+		}
 		m = v
 	case wire.KDataFetch:
 		v := DataFetchReq{Stream: r.U64(), ChunkVerts: int(r.U32())}
@@ -216,7 +233,7 @@ func decodeRawPayload(p []byte) (uint64, any, error) {
 		m = DataRestoreReq{Stream: r.U64()}
 	case wire.KDataChunk:
 		v := DataChunk{Stream: r.U64(), Seq: r.U32(), Done: r.Bool()}
-		v.Parts = readStateSection(r)
+		v.Parts = readStates(r)
 		m = v
 	case wire.KDataAck:
 		m = DataAck{Stream: r.U64()}
@@ -272,16 +289,27 @@ func appendPartIDs(dst []byte, parts []int) []byte {
 	return dst
 }
 
-// readPartIDs decodes a partition-ID list, validating the declared
-// count against the bytes remaining before allocating. An empty list
-// decodes as nil.
-func readPartIDs(r *colbytes.Reader) []int {
+// readCount reads a u32 element count, failing the reader unless the
+// bytes remaining could hold that many elements of at least minBytes
+// each — checked by division, so no count can overflow the check or
+// drive an oversized allocation.
+func readCount(r *colbytes.Reader, minBytes int, context string) int {
 	n := int(r.U32())
-	if r.Err() != nil || n == 0 {
-		return nil
+	if r.Err() != nil {
+		return 0
 	}
-	if n > r.Remaining()/4 {
-		r.Fail("partition id list")
+	if n > r.Remaining()/minBytes {
+		r.Fail(context)
+		return 0
+	}
+	return n
+}
+
+// readPartIDs decodes a partition-ID list. An empty list decodes as
+// nil.
+func readPartIDs(r *colbytes.Reader) []int {
+	n := readCount(r, 4, "partition id list")
+	if n == 0 {
 		return nil
 	}
 	parts := make([]int, n)
@@ -291,192 +319,56 @@ func readPartIDs(r *colbytes.Reader) []int {
 	return parts
 }
 
-// appendMsgSection writes []PartMsgs fully columnar: a count header
-// (partition ID and message count per partition), then ONE column per
-// Msg field concatenated across all partitions — dst IDs, labels,
-// ranks. Nil/empty distinctions are not preserved; empty groups decode
-// as nil.
-func appendMsgSection(dst []byte, pms []PartMsgs) []byte {
-	dst = colbytes.AppendU32(dst, uint32(len(pms)))
-	for _, pm := range pms {
-		dst = colbytes.AppendU32(dst, uint32(pm.Part))
-		dst = colbytes.AppendU32(dst, uint32(len(pm.Msgs)))
-	}
-	for _, pm := range pms {
-		for _, m := range pm.Msgs {
-			dst = colbytes.AppendU64(dst, m.Dst)
-		}
-	}
-	for _, pm := range pms {
-		for _, m := range pm.Msgs {
-			dst = colbytes.AppendU64(dst, m.Label)
-		}
-	}
-	for _, pm := range pms {
-		for _, m := range pm.Msgs {
-			dst = colbytes.AppendF64(dst, m.Rank)
-		}
+// appendRuns writes message runs: a count, then per run its
+// destination and source partition and its Dst and Val columns.
+func appendRuns(dst []byte, runs []MsgRun) []byte {
+	dst = colbytes.AppendU32(dst, uint32(len(runs)))
+	for _, run := range runs {
+		dst = colbytes.AppendU32(dst, uint32(run.Part))
+		dst = colbytes.AppendU32(dst, uint32(run.Src))
+		dst = colbytes.AppendI32s(dst, run.Dst)
+		dst = colbytes.AppendU64s(dst, run.Val)
 	}
 	return dst
 }
 
-// sectionCounts reads a section's count header: nparts (part, count)
-// pairs, validating each declared count against the bytes actually
-// remaining (elemBytes per element) so a corrupt header cannot drive
-// an unbounded arena allocation. Returns nil when the section is
-// empty or the reader has failed.
-func sectionCounts(r *colbytes.Reader, elemBytes int) (parts []int, counts []int, total int) {
-	nparts := int(r.U32())
-	if r.Err() != nil || nparts == 0 {
-		return nil, nil, 0
-	}
-	if nparts > r.Remaining()/8 {
-		// Each declared partition costs at least its 8-byte header entry.
-		r.Fail("section count header")
-		return nil, nil, 0
-	}
-	parts = make([]int, nparts)
-	counts = make([]int, nparts)
-	for i := 0; i < nparts; i++ {
-		parts[i] = int(r.U32())
-		counts[i] = int(r.U32())
-		total += counts[i]
-		if r.Err() != nil || total > r.Remaining()/elemBytes {
-			r.Fail("section element counts")
-			return nil, nil, 0
-		}
-	}
-	return parts, counts, total
-}
-
-// readMsgSection decodes a message section into one arena of Msgs
-// sub-sliced per partition: O(1) allocations however many partitions.
-func readMsgSection(r *colbytes.Reader) []PartMsgs {
-	parts, counts, total := sectionCounts(r, 24) // 3 columns x 8 bytes
-	if parts == nil {
+// readRuns decodes what appendRuns writes. The columns may differ in
+// length here; whoever folds or relays a run checks that.
+func readRuns(r *colbytes.Reader) []MsgRun {
+	n := readCount(r, 16, "message runs")
+	if n == 0 {
 		return nil
 	}
-	arena := make([]Msg, total)
-	if b := r.Raw(8*total, "msg dst column"); b != nil {
-		for i := range arena {
-			arena[i].Dst = binary.LittleEndian.Uint64(b[8*i:])
-		}
+	runs := make([]MsgRun, n)
+	for i := range runs {
+		runs[i] = MsgRun{Part: int(r.U32()), Src: int(r.U32()), Dst: r.I32s(nil), Val: r.U64s(nil)}
 	}
-	if b := r.Raw(8*total, "msg label column"); b != nil {
-		for i := range arena {
-			arena[i].Label = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	if b := r.Raw(8*total, "msg rank column"); b != nil {
-		for i := range arena {
-			arena[i].Rank = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	}
-	out := make([]PartMsgs, len(parts))
-	off := 0
-	for i := range out {
-		out[i].Part = parts[i]
-		if n := counts[i]; n > 0 {
-			out[i].Msgs = arena[off : off+n : off+n]
-			off += n
-		}
-	}
-	return out
+	return runs
 }
 
-// appendStateSection writes []PartState in the same fully-columnar
-// shape as appendMsgSection: count header, then the ID, label and rank
-// columns concatenated across partitions.
-func appendStateSection(dst []byte, pss []PartState) []byte {
+// appendStates writes partition state fragments: a count, then per
+// fragment its partition, first slot and state column.
+func appendStates(dst []byte, pss []PartState) []byte {
 	dst = colbytes.AppendU32(dst, uint32(len(pss)))
 	for _, ps := range pss {
 		dst = colbytes.AppendU32(dst, uint32(ps.Part))
-		dst = colbytes.AppendU32(dst, uint32(len(ps.Vertices)))
-	}
-	for _, ps := range pss {
-		for _, v := range ps.Vertices {
-			dst = colbytes.AppendU64(dst, v.ID)
-		}
-	}
-	for _, ps := range pss {
-		for _, v := range ps.Vertices {
-			dst = colbytes.AppendU64(dst, v.Label)
-		}
-	}
-	for _, ps := range pss {
-		for _, v := range ps.Vertices {
-			dst = colbytes.AppendF64(dst, v.Rank)
-		}
+		dst = colbytes.AppendU32(dst, uint32(ps.First))
+		dst = colbytes.AppendU64s(dst, ps.Vals)
 	}
 	return dst
 }
 
-// readStateSection decodes a partition-state section into one arena of
-// VertexVals sub-sliced per partition.
-func readStateSection(r *colbytes.Reader) []PartState {
-	parts, counts, total := sectionCounts(r, 24)
-	if parts == nil {
+// readStates decodes what appendStates writes.
+func readStates(r *colbytes.Reader) []PartState {
+	n := readCount(r, 12, "partition states")
+	if n == 0 {
 		return nil
 	}
-	arena := make([]VertexVal, total)
-	if b := r.Raw(8*total, "state id column"); b != nil {
-		for i := range arena {
-			arena[i].ID = binary.LittleEndian.Uint64(b[8*i:])
-		}
+	pss := make([]PartState, n)
+	for i := range pss {
+		pss[i] = PartState{Part: int(r.U32()), First: int(r.U32()), Vals: r.U64s(nil)}
 	}
-	if b := r.Raw(8*total, "state label column"); b != nil {
-		for i := range arena {
-			arena[i].Label = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	if b := r.Raw(8*total, "state rank column"); b != nil {
-		for i := range arena {
-			arena[i].Rank = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	}
-	out := make([]PartState, len(parts))
-	off := 0
-	for i := range out {
-		out[i].Part = parts[i]
-		if n := counts[i]; n > 0 {
-			out[i].Vertices = arena[off : off+n : off+n]
-			off += n
-		}
-	}
-	return out
-}
-
-// appendAdjSection writes []PartitionData columnar: count header, the
-// vertex-ID column, the out-degree column, then every out-edge
-// flattened into one column (the degrees recover the per-vertex
-// sub-slices).
-func appendAdjSection(dst []byte, pds []PartitionData) []byte {
-	dst = colbytes.AppendU32(dst, uint32(len(pds)))
-	for _, pd := range pds {
-		dst = colbytes.AppendU32(dst, uint32(pd.Part))
-		dst = colbytes.AppendU32(dst, uint32(len(pd.Vertices)))
-	}
-	var edges uint64
-	for _, pd := range pds {
-		for _, va := range pd.Vertices {
-			dst = colbytes.AppendU64(dst, va.ID)
-			edges += uint64(len(va.Out))
-		}
-	}
-	for _, pd := range pds {
-		for _, va := range pd.Vertices {
-			dst = colbytes.AppendU32(dst, uint32(len(va.Out)))
-		}
-	}
-	dst = colbytes.AppendU64(dst, edges)
-	for _, pd := range pds {
-		for _, va := range pd.Vertices {
-			for _, o := range va.Out {
-				dst = colbytes.AppendU64(dst, o)
-			}
-		}
-	}
-	return dst
+	return pss
 }
 
 // snapshotMagic prefixes raw JobSnapshot checkpoint blobs; a blob
@@ -484,14 +376,14 @@ func appendAdjSection(dst []byte, pds []PartitionData) []byte {
 var snapshotMagic = [4]byte{0x00, 'O', 'F', 'S'}
 
 // appendSnapshot appends the raw columnar encoding of a JobSnapshot:
-// magic, format version, then kind, the state and message sections and
-// the scalar tail.
+// magic, format version, then kind, the partition states, the message
+// runs and the scalar tail.
 func appendSnapshot(dst []byte, s JobSnapshot) []byte {
 	dst = append(dst, snapshotMagic[:]...)
 	dst = append(dst, wire.Version)
 	dst = colbytes.AppendString(dst, s.Kind)
-	dst = appendStateSection(dst, s.Parts)
-	dst = appendMsgSection(dst, s.Inbox)
+	dst = appendStates(dst, s.Parts)
+	dst = appendRuns(dst, s.Inbox)
 	dst = colbytes.AppendF64(dst, s.Dangling)
 	dst = colbytes.AppendBool(dst, s.Rescatter)
 	return dst
@@ -509,8 +401,8 @@ func decodeSnapshot(b []byte) (JobSnapshot, error) {
 		return JobSnapshot{}, &wire.VersionError{Got: ver, Want: wire.Version}
 	}
 	s := JobSnapshot{Kind: r.String()}
-	s.Parts = readStateSection(r)
-	s.Inbox = readMsgSection(r)
+	s.Parts = readStates(r)
+	s.Inbox = readRuns(r)
 	s.Dangling = r.F64()
 	s.Rescatter = r.Bool()
 	if err := r.Err(); err != nil {
@@ -520,66 +412,4 @@ func decodeSnapshot(b []byte) (JobSnapshot, error) {
 		return JobSnapshot{}, fmt.Errorf("proc: raw snapshot has %d trailing bytes", n)
 	}
 	return s, nil
-}
-
-// readAdjSection decodes an adjacency section. The flattened out-edge
-// column becomes one arena sub-sliced per vertex — the slices the
-// worker retains for the life of the job, exactly sized. The declared
-// edge count must equal the sum of the degrees.
-func readAdjSection(r *colbytes.Reader) []PartitionData {
-	parts, counts, total := sectionCounts(r, 12) // id u64 + degree u32
-	if parts == nil {
-		if r.U64() != 0 {
-			r.Fail("adjacency edge column")
-		}
-		return nil
-	}
-	verts := make([]VertexAdj, total)
-	if b := r.Raw(8*total, "adjacency id column"); b != nil {
-		for i := range verts {
-			verts[i].ID = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	degs := make([]uint32, total)
-	if b := r.Raw(4*total, "adjacency degree column"); b != nil {
-		for i := range degs {
-			degs[i] = binary.LittleEndian.Uint32(b[4*i:])
-		}
-	}
-	declared := r.U64()
-	if r.Err() != nil || declared > uint64(r.Remaining()/8) {
-		r.Fail("adjacency edge column")
-		return nil
-	}
-	edges := int(declared)
-	arena := make([]uint64, edges)
-	if b := r.Raw(8*edges, "adjacency edge column"); b != nil {
-		for i := range arena {
-			arena[i] = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	off := 0
-	for i := range verts {
-		n := int(degs[i])
-		if n > edges-off {
-			r.Fail("adjacency degrees")
-			return nil
-		}
-		verts[i].Out = arena[off : off+n : off+n]
-		off += n
-	}
-	if off != edges {
-		r.Fail("adjacency degrees")
-		return nil
-	}
-	out := make([]PartitionData, len(parts))
-	voff := 0
-	for i := range out {
-		out[i].Part = parts[i]
-		if n := counts[i]; n > 0 {
-			out[i].Vertices = verts[voff : voff+n : voff+n]
-			voff += n
-		}
-	}
-	return out
 }

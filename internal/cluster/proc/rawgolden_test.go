@@ -37,33 +37,36 @@ func goldenRawCases() []struct {
 	}{
 		{"stepreq", StepReq{
 			Superstep: 7, Rescatter: true, Dangling: 0.375,
-			Inbox: []PartMsgs{
-				{Part: 0, Msgs: []Msg{{Dst: 3, Label: 1, Rank: 0.5}, {Dst: 4, Label: 2}}},
-				{Part: 2, Msgs: []Msg{{Dst: 9, Rank: 0.125}}},
+			Inbox: []MsgRun{
+				{Part: 0, Src: 1, Dst: []int32{3, 4}, Val: []uint64{1, 2}},
+				{Part: 0, Src: 3, Dst: []int32{4}, Val: []uint64{1}},
+				{Part: 2, Src: 0, Dst: []int32{9}, Val: []uint64{0x3fc0000000000000}},
 			},
 		}},
 		{"stepresp", StepResp{
-			Outbox:   []PartMsgs{{Part: 1, Msgs: []Msg{{Dst: 5, Label: 5, Rank: 0.25}}}},
-			Dangling: 0.0625, L1: 2.5, Folded: true, Messages: 42, Updates: 7,
+			Outbox: []MsgRun{{Part: 1, Src: 2, Dst: []int32{5}, Val: []uint64{0x3fd0000000000000}}},
+			Sums:   []PartSums{{Part: 2, Dangling: 0.0625, L1: 2.5}, {Part: 3}},
+			Folded: true, Messages: 42, Updates: 7,
 		}},
 		{"fetchresp", FetchResp{Parts: []PartState{
-			{Part: 0, Vertices: []VertexVal{{ID: 1, Label: 1, Rank: 0.1}, {ID: 2, Label: 1, Rank: 0.2}}},
+			{Part: 0, Vals: []uint64{1, 1}},
 			{Part: 3},
 		}}},
 		{"restorereq", RestoreReq{Parts: []PartState{
-			{Part: 2, Vertices: []VertexVal{{ID: 8, Label: 2, Rank: 0.75}}},
+			{Part: 2, First: 3, Vals: []uint64{2}},
 		}}},
 		{"loadreq", LoadReq{
-			Job: "golden", Kind: KindPageRank, NumPartitions: 4, TotalVertices: 5, Damping: 0.85,
+			Job: "golden", Kind: KindPageRank, NumPartitions: 4, TotalVertices: 6, Damping: 0.85,
+			PartOf: []int32{0, 1, 2, 3, 0, 1},
 			Parts: []PartitionData{
-				{Part: 1, Vertices: []VertexAdj{{ID: 1, Out: []uint64{2, 3}}, {ID: 5, Out: []uint64{}}}},
+				{Part: 1, Owned: []int32{1, 5}, Degrees: []int32{2, 0}, Targets: []int32{2, 3}},
 			},
 		}},
 		{"datafetch", DataFetchReq{Stream: 9, ChunkVerts: 4096, Parts: []int{0, 2, 3}}},
 		{"datarestore", DataRestoreReq{Stream: 10}},
 		{"datachunk", DataChunk{
 			Stream: 10, Seq: 3, Done: true,
-			Parts: []PartState{{Part: 1, Vertices: []VertexVal{{ID: 4, Label: 4, Rank: 0.3}}}},
+			Parts: []PartState{{Part: 1, First: 4096, Vals: []uint64{4, 0x3fd3333333333333}}},
 		}},
 		{"dataack", DataAck{Stream: 10}},
 		{"dataerr", DataErr{Stream: 11, Msg: "worker 2: partition 9 not hosted"}},
@@ -88,8 +91,8 @@ func goldenRawCases() []struct {
 func goldenSnapshot() JobSnapshot {
 	return JobSnapshot{
 		Kind:      KindCC,
-		Parts:     []PartState{{Part: 0, Vertices: []VertexVal{{ID: 2, Label: 1, Rank: 0.5}}}},
-		Inbox:     []PartMsgs{{Part: 0, Msgs: []Msg{{Dst: 2, Label: 1}}}},
+		Parts:     []PartState{{Part: 0, Vals: []uint64{0, 1}}},
+		Inbox:     []MsgRun{{Part: 0, Src: 1, Dst: []int32{2}, Val: []uint64{1}}},
 		Dangling:  0.125,
 		Rescatter: true,
 	}

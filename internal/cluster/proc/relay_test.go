@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"os"
 	oexec "os/exec"
-	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -14,48 +12,32 @@ import (
 	"optiflow/internal/iterate"
 )
 
-// TestMergeRunsMatchesSort: merging ascending runs — empty ones, and
-// runs sharing a Dst, included — equals sorting their concatenation in
-// the canonical (Dst, Label, Rank) order.
-func TestMergeRunsMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		runs := make([][]Msg, rng.Intn(5))
-		var all []Msg
-		for i := range runs {
-			run := make([]Msg, rng.Intn(12))
-			for k := range run {
-				run[k] = Msg{Dst: uint64(rng.Intn(8)), Label: uint64(rng.Intn(4)), Rank: float64(rng.Intn(3)) / 4}
-			}
-			sort.Slice(run, func(a, b int) bool { return msgLess(run[a], run[b]) })
-			runs[i] = run
-			all = append(all, run...)
-		}
-		sort.Slice(all, func(a, b int) bool { return msgLess(all[a], all[b]) })
-		got := mergeRuns(runs...)
-		if len(got) != len(all) || (len(all) > 0 && !slices.Equal(got, all)) {
-			t.Fatalf("trial %d: mergeRuns(%v)\n got %v\nwant %v", trial, runs, got, all)
-		}
-		if i := unsortedAt(got); i >= 0 {
-			t.Fatalf("trial %d: merged output steps backwards at %d", trial, i)
-		}
-	}
-}
-
-// TestUnsortedAt pins the order check the driver runs on every run.
-func TestUnsortedAt(t *testing.T) {
+// TestCheckRun pins the relay's check on every run: Dst strictly
+// ascending, every Dst owned by the run's partition, columns of equal
+// length and a partition that exists.
+func TestCheckRun(t *testing.T) {
+	g := relayGraph()
+	const parts = 4
+	pt := g.Dense().Partitioning(parts)
+	j := &Job{pt: pt}
+	own := pt.Owned[1]
+	foreign := pt.Owned[2][0]
 	for _, tc := range []struct {
-		run  []Msg
-		want int
+		run  MsgRun
+		want string
 	}{
-		{nil, -1},
-		{[]Msg{{Dst: 3}}, -1},
-		{[]Msg{{Dst: 1, Label: 5}, {Dst: 1, Label: 5}, {Dst: 2, Label: 0}}, -1},
-		{[]Msg{{Dst: 1, Rank: 0.5}, {Dst: 1, Rank: 0.25}}, 1},
-		{[]Msg{{Dst: 1}, {Dst: 4}, {Dst: 2}}, 2},
+		{MsgRun{Part: 1}, ""},
+		{MsgRun{Part: 1, Dst: own[:3], Val: []uint64{5, 5, 0}}, ""},
+		{MsgRun{Part: 1, Dst: []int32{own[0], own[2], own[1]}, Val: make([]uint64, 3)}, "out of order at index 2"},
+		{MsgRun{Part: 1, Dst: []int32{own[0], own[0]}, Val: make([]uint64, 2)}, "out of order at index 1"},
+		{MsgRun{Part: 1, Dst: []int32{foreign}, Val: make([]uint64, 1)}, "another partition owns"},
+		{MsgRun{Part: 1, Dst: []int32{int32(g.NumVertices())}, Val: make([]uint64, 1)}, "another partition owns"},
+		{MsgRun{Part: 1, Dst: own[:2], Val: make([]uint64, 1)}, "malformed"},
+		{MsgRun{Part: parts}, "malformed"},
 	} {
-		if got := unsortedAt(tc.run); got != tc.want {
-			t.Errorf("unsortedAt(%v) = %d, want %d", tc.run, got, tc.want)
+		err := j.checkRun(tc.run)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("checkRun(%+v) = %v, want %q", tc.run, err, tc.want)
 		}
 	}
 }
@@ -75,8 +57,9 @@ func relayGraph() *graph.Graph {
 // TestRelayCombinesPerSourcePartition: superstep 0 rescatters every
 // label, so StepStats.Messages counts every adjacency entry, as it
 // did before combining; the relayed inbox carries exactly one
-// combined message per (source partition, Dst) pair, in canonical
-// order, and WorksetLen counts those combined messages.
+// combined message per (source partition, Dst) pair, each run tagged
+// with its true source partition, and WorksetLen counts those combined
+// messages.
 func TestRelayCombinesPerSourcePartition(t *testing.T) {
 	g := relayGraph()
 	const parts = 6
@@ -90,37 +73,44 @@ func TestRelayCombinesPerSourcePartition(t *testing.T) {
 		t.Fatalf("Step 0: %v", err)
 	}
 	entries := 0
-	srcParts := make(map[uint64]map[int]bool) // Dst -> source partitions sending to it
+	srcParts := make(map[graph.VertexID]map[int]bool) // Dst -> source partitions sending to it
 	for _, v := range g.Vertices() {
 		for _, dst := range g.OutNeighbors(v) {
 			entries++
-			if srcParts[uint64(dst)] == nil {
-				srcParts[uint64(dst)] = make(map[int]bool)
+			if srcParts[dst] == nil {
+				srcParts[dst] = make(map[int]bool)
 			}
-			srcParts[uint64(dst)][graph.Partition(v, parts)] = true
+			srcParts[dst][graph.Partition(v, parts)] = true
 		}
 	}
 	if stats.Messages != int64(entries) {
 		t.Errorf("superstep 0 Messages = %d, want %d adjacency entries", stats.Messages, entries)
 	}
+	ids := g.Dense().IDs()
 	combined := 0
-	for p, msgs := range job.inbox {
-		if i := unsortedAt(msgs); i >= 0 {
-			t.Errorf("partition %d inbox out of canonical order at %d", p, i)
-		}
-		perDst := make(map[uint64]int)
-		for _, m := range msgs {
-			if graph.Partition(graph.VertexID(m.Dst), parts) != p {
-				t.Errorf("message for %d relayed to partition %d", m.Dst, p)
+	for p, runs := range job.inbox {
+		perDst := make(map[graph.VertexID]int)
+		for i, run := range runs {
+			if run.Part != p || (i > 0 && run.Src <= runs[i-1].Src) {
+				t.Errorf("partition %d inbox run %d is for partition %d from %d, out of place", p, i, run.Part, run.Src)
 			}
-			perDst[m.Dst]++
+			if err := job.checkRun(run); err != nil {
+				t.Errorf("partition %d inbox run from %d: %v", p, run.Src, err)
+			}
+			for _, d := range run.Dst {
+				dst := ids[d]
+				if !srcParts[dst][run.Src] {
+					t.Errorf("run from partition %d carries a message for %d, which it sends nothing", run.Src, dst)
+				}
+				perDst[dst]++
+			}
+			combined += len(run.Dst)
 		}
 		for dst, n := range perDst {
 			if want := len(srcParts[dst]); n != want {
 				t.Errorf("partition %d holds %d messages for %d, want one per source partition (%d)", p, n, dst, want)
 			}
 		}
-		combined += len(msgs)
 	}
 	pairs := 0
 	for _, ps := range srcParts {
@@ -136,14 +126,28 @@ func TestRelayCombinesPerSourcePartition(t *testing.T) {
 }
 
 // sinkFreeGraph is a directed graph whose every vertex has an
-// out-edge. The dangling mass is summed per worker, so a sink would
-// make the last bits of the ranks depend on the placement; the
-// message relay must not.
+// out-edge.
 func sinkFreeGraph() *graph.Graph {
+	return prBitsGraph(0)
+}
+
+// sinkGraph is the same kind of graph with every 7th vertex a sink, so
+// the dangling mass is non-zero every superstep.
+func sinkGraph() *graph.Graph {
+	return prBitsGraph(7)
+}
+
+// prBitsGraph builds a 150-vertex directed graph; every sinkEvery-th
+// vertex has no out-edges (none if sinkEvery is 0).
+func prBitsGraph(sinkEvery int) *graph.Graph {
 	rng := rand.New(rand.NewSource(11))
 	b := graph.NewBuilder(true)
 	const n = 150
 	for v := 0; v < n; v++ {
+		if sinkEvery > 0 && v%sinkEvery == 0 {
+			b.AddVertex(graph.VertexID(v))
+			continue
+		}
 		b.AddEdge(graph.VertexID(v), graph.VertexID((v+1)%n))
 		for k := 0; k < 3; k++ {
 			b.AddEdge(graph.VertexID(v), graph.VertexID(rng.Intn(n)))
@@ -153,48 +157,52 @@ func sinkFreeGraph() *graph.Graph {
 }
 
 // TestPageRankBitIdenticalAcrossWorkerCounts: the same partitioning
-// hosted on 1, 2 and 3 workers yields bit-identical ranks. Combining
-// per source partition keeps every float sum independent of which
-// worker hosts which partition; a per-worker combiner would not.
+// hosted on 1, 2 and 3 workers yields bit-identical ranks, with and
+// without sinks. Combining per source partition, folding each inbox in
+// source-partition order and summing the dangling mass and L1 per
+// source partition keep every float sum independent of which worker
+// hosts which partition.
 func TestPageRankBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	g := sinkFreeGraph()
-	var ref map[graph.VertexID]float64
-	for _, workers := range []int{1, 2, 3} {
-		co := startTestCluster(t, workers, 6, nil)
-		job, err := NewJob(co, Spec{Name: "pr-bits", Kind: KindPageRank, Graph: g})
-		if err != nil {
-			t.Fatalf("%d workers: NewJob: %v", workers, err)
-		}
-		for s := 0; s < 25; s++ {
-			if _, err := job.Step(&iterate.Context{Superstep: s}); err != nil {
-				t.Fatalf("%d workers: Step %d: %v", workers, s, err)
+	for name, g := range map[string]*graph.Graph{"sink-free": sinkFreeGraph(), "sinks": sinkGraph()} {
+		var ref map[graph.VertexID]float64
+		for _, workers := range []int{1, 2, 3} {
+			co := startTestCluster(t, workers, 6, nil)
+			job, err := NewJob(co, Spec{Name: "pr-bits", Kind: KindPageRank, Graph: g})
+			if err != nil {
+				t.Fatalf("%s, %d workers: NewJob: %v", name, workers, err)
 			}
-		}
-		ranks, err := job.Ranks()
-		if err != nil {
-			t.Fatalf("%d workers: Ranks: %v", workers, err)
-		}
-		co.Close()
-		if ref == nil {
-			ref = ranks
-			continue
-		}
-		for v, r := range ref {
-			if math.Float64bits(ranks[v]) != math.Float64bits(r) {
-				t.Fatalf("%d workers: rank[%d] = %x, 1 worker: %x", workers, v, math.Float64bits(ranks[v]), math.Float64bits(r))
+			for s := 0; s < 25; s++ {
+				if _, err := job.Step(&iterate.Context{Superstep: s}); err != nil {
+					t.Fatalf("%s, %d workers: Step %d: %v", name, workers, s, err)
+				}
+			}
+			ranks, err := job.Ranks()
+			if err != nil {
+				t.Fatalf("%s, %d workers: Ranks: %v", name, workers, err)
+			}
+			co.Close()
+			if ref == nil {
+				ref = ranks
+				continue
+			}
+			for v, r := range ref {
+				if math.Float64bits(ranks[v]) != math.Float64bits(r) {
+					t.Fatalf("%s, %d workers: rank[%d] = %x, 1 worker: %x", name, workers, v, math.Float64bits(ranks[v]), math.Float64bits(r))
+				}
 			}
 		}
 	}
 }
 
-// envMisorder makes a spawned test worker a misordering worker (see
-// runMisorderingWorker).
-const envMisorder = "OPTIFLOW_PROC_TEST_MISORDER"
+// envMisbehave makes a spawned test worker break the run contract
+// from superstep 1 on (see runMisbehavingWorker): "swap" swaps two Dst
+// values of a run, "foreign" sends a Dst another partition owns.
+const envMisbehave = "OPTIFLOW_PROC_TEST_MISBEHAVE"
 
-// runMisorderingWorker serves ctrl RPCs like RunWorker, without a data
-// plane, but from superstep 1 on swaps one adjacent pair of distinct
-// messages in its outbox, breaking the ascending-run contract.
-func runMisorderingWorker() error {
+// runMisbehavingWorker serves ctrl RPCs like RunWorker, without a data
+// plane, but from superstep 1 on corrupts one run of its outbox as
+// mode says.
+func runMisbehavingWorker(mode string) error {
 	cfg, err := workerConfigFromEnv()
 	if err != nil {
 		return err
@@ -222,7 +230,7 @@ func runMisorderingWorker() error {
 		}
 		resp := h.dispatch(id, req)
 		if sr, ok := resp.(StepResp); ok && req.(StepReq).Superstep >= 1 {
-			misorder(sr.Outbox)
+			misbehave(mode, sr.Outbox, h.partOf)
 		}
 		if err := writeFrame(ctrl, id, resp, cfg.MaxFrameBytes); err != nil {
 			return err
@@ -230,60 +238,73 @@ func runMisorderingWorker() error {
 	}
 }
 
-// misorder swaps the first adjacent pair of distinct messages.
-func misorder(pms []PartMsgs) {
-	for _, pm := range pms {
-		for i := 1; i < len(pm.Msgs); i++ {
-			if msgLess(pm.Msgs[i-1], pm.Msgs[i]) {
-				pm.Msgs[i-1], pm.Msgs[i] = pm.Msgs[i], pm.Msgs[i-1]
-				return
+// misbehave corrupts the first run it can: "swap" swaps its first two
+// Dst values, "foreign" lowers its first Dst to a vertex of another
+// partition, keeping the run ascending.
+func misbehave(mode string, runs []MsgRun, partOf []int32) {
+	for _, run := range runs {
+		switch {
+		case mode == "swap" && len(run.Dst) >= 2:
+			run.Dst[0], run.Dst[1] = run.Dst[1], run.Dst[0]
+			return
+		case mode == "foreign":
+			for d := run.Dst[0] - 1; d >= 0; d-- {
+				if partOf[d] != int32(run.Part) {
+					run.Dst[0] = d
+					return
+				}
 			}
 		}
 	}
 }
 
 // TestUnsortedRunAbortsBeforeCommit: a worker whose outbox run is out
-// of order fails the step with an error naming it and the partition,
-// and no worker commits the attempt.
+// of order, or carries a message for a vertex another partition owns,
+// fails the step with an error naming it and the partition, and no
+// worker commits the attempt.
 func TestUnsortedRunAbortsBeforeCommit(t *testing.T) {
-	co := startTestCluster(t, 2, 4, func(c *Config) {
-		c.DataConns = -1
-		c.Spawn = func(id int, env []string) (*oexec.Cmd, error) {
-			self, err := os.Executable()
+	for mode, want := range map[string]string{"swap": "out of order", "foreign": "another partition owns"} {
+		t.Run(mode, func(t *testing.T) {
+			co := startTestCluster(t, 2, 4, func(c *Config) {
+				c.DataConns = -1
+				c.Spawn = func(id int, env []string) (*oexec.Cmd, error) {
+					self, err := os.Executable()
+					if err != nil {
+						return nil, err
+					}
+					cmd := oexec.Command(self)
+					cmd.Env = env
+					if id == 1 {
+						cmd.Env = append(cmd.Env, envMisbehave+"="+mode)
+					}
+					cmd.Stderr = os.Stderr
+					return cmd, nil
+				}
+			})
+			g := relayGraph()
+			job, err := NewJob(co, Spec{Name: "misbehave", Kind: KindCC, Graph: g})
 			if err != nil {
-				return nil, err
+				t.Fatalf("NewJob: %v", err)
 			}
-			cmd := oexec.Command(self)
-			cmd.Env = env
-			if id == 1 {
-				cmd.Env = append(cmd.Env, envMisorder+"=1")
+			if _, err := job.Step(&iterate.Context{Superstep: 0}); err != nil {
+				t.Fatalf("Step 0: %v", err)
 			}
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		}
-	})
-	g := relayGraph()
-	job, err := NewJob(co, Spec{Name: "misorder", Kind: KindCC, Graph: g})
-	if err != nil {
-		t.Fatalf("NewJob: %v", err)
-	}
-	if _, err := job.Step(&iterate.Context{Superstep: 0}); err != nil {
-		t.Fatalf("Step 0: %v", err)
-	}
-	_, err = job.Step(&iterate.Context{Superstep: 1})
-	if err == nil || !strings.Contains(err.Error(), "worker 1 sent partition") || !strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("Step 1 error = %v, want an out-of-order run blamed on worker 1", err)
-	}
-	labels, err := job.Components()
-	if err != nil {
-		t.Fatalf("Components: %v", err)
-	}
-	if len(labels) != g.NumVertices() {
-		t.Fatalf("fetched %d labels, want %d", len(labels), g.NumVertices())
-	}
-	for v, l := range labels {
-		if v != l {
-			t.Fatalf("vertex %d committed label %d: superstep 1 reached a commit", v, l)
-		}
+			_, err = job.Step(&iterate.Context{Superstep: 1})
+			if err == nil || !strings.Contains(err.Error(), "worker 1 sent partition") || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Step 1 error = %v, want %q blamed on worker 1 and a partition", err, want)
+			}
+			labels, err := job.Components()
+			if err != nil {
+				t.Fatalf("Components: %v", err)
+			}
+			if len(labels) != g.NumVertices() {
+				t.Fatalf("fetched %d labels, want %d", len(labels), g.NumVertices())
+			}
+			for v, l := range labels {
+				if v != l {
+					t.Fatalf("vertex %d committed label %d: superstep 1 reached a commit", v, l)
+				}
+			}
+		})
 	}
 }

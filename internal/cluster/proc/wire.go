@@ -23,6 +23,13 @@
 // wire-compatibility test round-trips one sample of every kind
 // through a freshly started subprocess decoder to pin cross-process
 // decodability.
+//
+// Iteration state lives on the workers (worker.go) as dense columns:
+// per hosted partition, CSR rows over int32 vertex indices and one
+// uint64 state column in slot order. The superstep kernel is
+// exec.Combiner, the columnar engine's combiner, run once per hosted
+// source partition; the driver (job.go) checks the resulting message
+// runs and relays them, unmerged, to the workers that fold them.
 package proc
 
 import (
@@ -44,8 +51,10 @@ import (
 // introduced length-prefixed self-contained frames and idempotence
 // IDs; version 3 added the per-payload codec tag and the data-plane
 // connection role; version 4 moved the control messages, Hello
-// included, onto the raw codec.
-const ProtoVersion = 4
+// included, onto the raw codec; version 5 made the superstep dense:
+// int32 vertex indices, per-source-partition message runs and one
+// state column per partition.
+const ProtoVersion = 5
 
 // Hello opens every connection. Token authenticates the worker to the
 // coordinator (it is handed to the worker process via its environment,
@@ -107,31 +116,37 @@ type ErrResp struct {
 // PingReq checks liveness over the ctrl connection.
 type PingReq struct{}
 
-// VertexAdj is one vertex's adjacency: its ID and out-neighbors.
-type VertexAdj struct {
-	ID  uint64
-	Out []uint64
-}
-
-// PartitionData is the adjacency payload of one state partition.
+// PartitionData is one partition's share of the graph in dense form:
+// its vertices in state-slot order and their CSR rows.
 type PartitionData struct {
-	Part     int
-	Vertices []VertexAdj
+	Part int
+	// Owned lists the partition's vertices as dense indices, ascending;
+	// vertex Owned[s] lives in state slot s.
+	Owned []int32
+	// Degrees is each slot's out-degree. The rows lie back to back in
+	// Targets, so the degrees sum to len(Targets).
+	Degrees []int32
+	// Targets holds every row's out-neighbours as dense indices.
+	Targets []int32
 }
 
 // LoadReq hands a worker the partitions it hosts: the job identity,
-// the algorithm kind, global graph facts and per-partition adjacency.
-// State is initialised to superstep zero (CC: own ID as label; PR:
-// uniform rank 1/N). LoadReq is also how a replacement worker adopts
-// orphaned partitions mid-job — the driver then Clears or Restores
-// them per the recovery policy.
+// the algorithm kind, global graph facts, the job's vertex-to-partition
+// column and per-partition CSR rows. State is initialised to superstep
+// zero (CC: each vertex's own dense index as its label; PR: uniform
+// rank 1/N). LoadReq is also how a replacement worker adopts orphaned
+// partitions mid-job — the driver then Clears or Restores them per the
+// recovery policy.
 type LoadReq struct {
 	Job           string
 	Kind          string
 	NumPartitions int
 	TotalVertices int
 	Damping       float64
-	Parts         []PartitionData
+	// PartOf maps every dense vertex index to its partition
+	// (graph.Partitioning.PartOf).
+	PartOf []int32
+	Parts  []PartitionData
 }
 
 // Algorithm kinds named in LoadReq.Kind.
@@ -140,26 +155,24 @@ const (
 	KindPageRank = "pagerank"
 )
 
-// Msg is one dataflow record in flight between supersteps. CC uses
-// Label (a candidate component label), PageRank uses Rank (a rank
-// contribution); the unused field stays zero.
-type Msg struct {
-	Dst   uint64
-	Label uint64
-	Rank  float64
-}
-
-// PartMsgs groups the messages destined for one partition.
-type PartMsgs struct {
-	Part int
-	Msgs []Msg
+// MsgRun is the combined messages one source partition sends one
+// destination partition in a superstep: Dst strictly ascending, Val[i]
+// the folded payload for Dst[i] — a CC label (a dense vertex index) or
+// a PageRank contribution as float64 bits.
+type MsgRun struct {
+	Part int // destination partition
+	Src  int // source partition
+	Dst  []int32
+	Val  []uint64
 }
 
 // StepReq runs one superstep attempt over the worker's partitions.
 // Rescatter asks every vertex to re-send its current state to its
 // neighbors (superstep zero, and after an optimistic compensation);
 // Dangling is the dangling-rank mass collected in the previous
-// superstep (PageRank only). The worker computes but does not apply:
+// superstep (PageRank only). Inbox holds the runs for the worker's
+// partitions, each partition's runs in ascending Src order — the order
+// the worker folds them in. The worker computes but does not apply:
 // updates stay pending until CommitReq, and AbortReq drops them — the
 // two-phase protocol that lets an aborted attempt be replayed against
 // unchanged state.
@@ -167,18 +180,25 @@ type StepReq struct {
 	Superstep int
 	Rescatter bool
 	Dangling  float64
-	Inbox     []PartMsgs
+	Inbox     []MsgRun
 }
 
-// StepResp reports one superstep attempt's outputs: the outgoing
-// messages grouped by destination partition, the dangling mass and L1
-// rank delta (PageRank; Folded reports whether a fold happened, so a
-// pure rescatter step does not fake convergence), and the counters the
-// iteration driver samples.
-type StepResp struct {
-	Outbox   []PartMsgs
+// PartSums is one source partition's PageRank totals in a superstep:
+// the rank mass of its sinks and the L1 delta of its ranks.
+type PartSums struct {
+	Part     int
 	Dangling float64
 	L1       float64
+}
+
+// StepResp reports one superstep attempt's outputs: one run per
+// (hosted source partition, destination partition) pair with
+// messages, PageRank's per-source-partition sums (Folded reports
+// whether a fold happened, so a pure rescatter step does not fake
+// convergence), and the counters the iteration driver samples.
+type StepResp struct {
+	Outbox   []MsgRun
+	Sums     []PartSums
 	Folded   bool
 	Messages int64
 	Updates  int64
@@ -194,18 +214,14 @@ type CommitReq struct {
 // state as it was before the attempt.
 type AbortReq struct{}
 
-// VertexVal is one vertex's iteration state.
-type VertexVal struct {
-	ID    uint64
-	Label uint64
-	Rank  float64
-}
-
-// PartState is the full committed state of one partition, vertices in
-// ascending ID order.
+// PartState is a stretch of one partition's committed state: Vals[i]
+// is state slot First+i — a CC label, or a PageRank rank as float64
+// bits. A whole partition has First 0; the data plane cuts larger ones
+// into consecutive fragments.
 type PartState struct {
-	Part     int
-	Vertices []VertexVal
+	Part  int
+	First int
+	Vals  []uint64
 }
 
 // FetchReq reads the committed state of the listed partitions
@@ -252,15 +268,15 @@ type WorkerStats struct {
 }
 
 // JobSnapshot is the driver-side serialisation of a proc job's full
-// iteration state: every partition's vertex values plus the in-flight
-// message state the next superstep consumes. recovery.Job's SnapshotTo
+// iteration state: every partition's state column plus the in-flight
+// message runs the next superstep consumes. recovery.Job's SnapshotTo
 // encodes one of these as a raw snapshot blob (appendSnapshot);
 // RestoreFrom decodes it and pushes the partitions back to their
 // current owners.
 type JobSnapshot struct {
 	Kind      string
 	Parts     []PartState
-	Inbox     []PartMsgs
+	Inbox     []MsgRun
 	Dangling  float64
 	Rescatter bool
 }
@@ -285,7 +301,7 @@ type DataRestoreReq struct {
 
 // DataChunk is one bounded fragment of a state stream. Parts carries
 // partition state fragments — a partition larger than the chunk budget
-// spans several chunks, each listing the vertices it covers.
+// spans several chunks, each naming the first slot it covers.
 type DataChunk struct {
 	Stream uint64
 	Seq    uint32

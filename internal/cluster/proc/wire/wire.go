@@ -33,8 +33,10 @@ import (
 
 // Version is the raw-codec format version. Bump it whenever a body
 // encoding changes shape; the decoder rejects any other version with
-// *VersionError.
-const Version byte = 1
+// *VersionError. Version 2 carries vertices as int32 dense indices,
+// message runs per source partition and one state column per
+// partition.
+const Version byte = 2
 
 // CodecRaw is the first payload byte of every frame.
 const CodecRaw byte = 0x01

@@ -2,10 +2,10 @@ package proc
 
 // wirebench_test.go measures raw columnar frame encode/decode on the
 // two bulk payload shapes the cluster actually ships — partition state
-// (flat id/label/rank records, the checkpoint and migration payload)
-// and partition adjacency (per-vertex out-edge lists, the load
-// payload, decoded into a single edge arena). CI pins the encode
-// allocation count with -maxallocs.
+// (one uint64 column per partition, the checkpoint and migration
+// payload) and partition CSR rows (owned indices, degrees and int32
+// targets plus the PartOf column, the load payload). CI pins the
+// encode and decode allocation counts with -maxallocs.
 
 import (
 	"bytes"
@@ -15,17 +15,15 @@ import (
 )
 
 // wireStatePayload is a bulk state payload shaped like a checkpoint
-// fetch: 4 partitions x 4096 vertices of (id, label, rank).
+// fetch: 4 partitions x 4096 state values.
 func wireStatePayload() FetchResp {
 	resp := FetchResp{}
-	id := uint64(0)
 	for p := 0; p < 4; p++ {
-		vs := make([]VertexVal, 4096)
+		vs := make([]uint64, 4096)
 		for i := range vs {
-			vs[i] = VertexVal{ID: id, Label: id % 97, Rank: 1 / float64(id+1)}
-			id++
+			vs[i] = uint64(p*4096+i) % 97
 		}
-		resp.Parts = append(resp.Parts, PartState{Part: p, Vertices: vs})
+		resp.Parts = append(resp.Parts, PartState{Part: p, Vals: vs})
 	}
 	return resp
 }
@@ -34,22 +32,25 @@ func wireStatePayload() FetchResp {
 // vertices with 8 out-edges each.
 func wireAdjPayload() LoadReq {
 	const parts, perPart, deg = 4, 4096, 8
+	const n = parts * perPart
 	req := LoadReq{
 		Job: "bench", Kind: KindCC,
-		NumPartitions: parts, TotalVertices: parts * perPart, Damping: 0.85,
+		NumPartitions: parts, TotalVertices: n, Damping: 0.85,
+		PartOf: make([]int32, n),
 	}
-	id := uint64(0)
+	for v := range req.PartOf {
+		req.PartOf[v] = int32(v % parts)
+	}
 	for p := 0; p < parts; p++ {
-		vs := make([]VertexAdj, perPart)
-		for i := range vs {
-			out := make([]uint64, deg)
-			for j := range out {
-				out[j] = (id + uint64(j)*7) % uint64(parts*perPart)
+		pd := PartitionData{Part: p, Owned: make([]int32, perPart), Degrees: make([]int32, perPart)}
+		for s := range pd.Owned {
+			v := int32(s*parts + p)
+			pd.Owned[s], pd.Degrees[s] = v, deg
+			for j := int32(0); j < deg; j++ {
+				pd.Targets = append(pd.Targets, (v+j*7)%n)
 			}
-			vs[i] = VertexAdj{ID: id, Out: out}
-			id++
 		}
-		req.Parts = append(req.Parts, PartitionData{Part: p, Vertices: vs})
+		req.Parts = append(req.Parts, pd)
 	}
 	return req
 }

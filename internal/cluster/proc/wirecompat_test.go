@@ -25,21 +25,23 @@ func sampleMessages() []any {
 		PingReq{},
 		LoadReq{
 			Job: "cc-demo", Kind: KindCC, NumPartitions: 4, TotalVertices: 9, Damping: 0.85,
-			Parts: []PartitionData{{Part: 2, Vertices: []VertexAdj{{ID: 7, Out: []uint64{1, 9}}}}},
+			PartOf: []int32{0, 1, 2, 3, 0, 1, 2, 3, 0},
+			Parts:  []PartitionData{{Part: 2, Owned: []int32{2, 6}, Degrees: []int32{2, 0}, Targets: []int32{1, 8}}},
 		},
 		StepReq{
 			Superstep: 5, Rescatter: true, Dangling: 0.125,
-			Inbox: []PartMsgs{{Part: 1, Msgs: []Msg{{Dst: 9, Label: 2, Rank: 0.5}}}},
+			Inbox: []MsgRun{{Part: 1, Src: 3, Dst: []int32{5, 9}, Val: []uint64{2, 0x3fe0000000000000}}},
 		},
 		StepResp{
-			Outbox:   []PartMsgs{{Part: 0, Msgs: []Msg{{Dst: 1, Label: 1, Rank: 0.25}}}},
-			Dangling: 0.0625, L1: 1.5, Folded: true, Messages: 12, Updates: 3,
+			Outbox: []MsgRun{{Part: 0, Src: 2, Dst: []int32{1}, Val: []uint64{1}}},
+			Sums:   []PartSums{{Part: 2, Dangling: 0.0625, L1: 1.5}},
+			Folded: true, Messages: 12, Updates: 3,
 		},
 		CommitReq{Superstep: 5},
 		AbortReq{},
 		FetchReq{Parts: []int{0, 2}},
-		FetchResp{Parts: []PartState{{Part: 2, Vertices: []VertexVal{{ID: 7, Label: 1, Rank: 0.2}}}}},
-		RestoreReq{Parts: []PartState{{Part: 0, Vertices: []VertexVal{{ID: 1, Label: 1, Rank: 0.3}}}}},
+		FetchResp{Parts: []PartState{{Part: 2, Vals: []uint64{1, 7}}}},
+		RestoreReq{Parts: []PartState{{Part: 0, First: 4, Vals: []uint64{3}}}},
 		ClearReq{Parts: []int{3}},
 		ResetReq{},
 		ShutdownReq{},
@@ -49,7 +51,7 @@ func sampleMessages() []any {
 		DataRestoreReq{Stream: 12},
 		DataChunk{
 			Stream: 12, Seq: 2, Done: true,
-			Parts: []PartState{{Part: 3, Vertices: []VertexVal{{ID: 8, Label: 2, Rank: 0.4}}}},
+			Parts: []PartState{{Part: 3, First: 2, Vals: []uint64{2, 8}}},
 		},
 		DataAck{Stream: 12},
 		DataErr{Stream: 13, Msg: "worker 3: partition 9 not hosted"},

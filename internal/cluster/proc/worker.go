@@ -1,7 +1,6 @@
 package proc
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -12,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"optiflow/internal/graph"
+	"optiflow/internal/exec"
 )
 
 // WorkerConfig parameterises one worker daemon.
@@ -219,9 +218,9 @@ func (h *workerHost) serveFetchStream(cfg WorkerConfig, nc net.Conn, r DataFetch
 // serveRestoreStream consumes one restore stream: chunks are applied
 // under the host lock as they arrive (pipelining with the
 // coordinator's encode+send of the next chunk), and the ack goes out
-// after the Done chunk. An application error (unknown partition or
-// vertex) keeps draining the stream so the sender never blocks on a
-// full pipe, then answers DataErr. Each chunk read carries a deadline
+// after the Done chunk. An application error (unknown partition, or a
+// fragment overrunning its partition) keeps draining the stream so the
+// sender never blocks on a full pipe, then answers DataErr. Each chunk read carries a deadline
 // so a silent half-open peer cannot park the slot forever.
 func (h *workerHost) serveRestoreStream(cfg WorkerConfig, nc net.Conn, r DataRestoreReq) error {
 	var appErr error
@@ -364,22 +363,29 @@ func pushHeartbeats(nc net.Conn, cfg WorkerConfig, done <-chan struct{}) {
 	}
 }
 
-// vertexState is one vertex's adjacency and committed iteration state.
-type vertexState struct {
-	out   []uint64
-	label uint64
-	rank  float64
-}
+// maxPartitions bounds LoadReq.NumPartitions: the worker sizes
+// per-partition tables by it, so a corrupt count must not drive their
+// allocation.
+const maxPartitions = 1 << 16
 
-// partition holds one hosted state partition. order keeps vertex IDs
-// sorted so every scan is deterministic.
+// partition is one hosted state partition: its vertices' CSR rows and
+// its state column, both in slot order, plus the column a superstep
+// attempt computes into and the scratch its inbox folds into.
 type partition struct {
-	order []uint64
-	verts map[uint64]*vertexState
+	owned   []int32  // dense vertex index of each slot, ascending
+	offsets []int32  // row bounds over targets, len(owned)+1
+	targets []int32  // out-neighbours as dense indices
+	state   []uint64 // committed: CC label, or PageRank rank bits
+	next    []uint64 // the attempt awaiting commit, while stepped
+	stepped bool
+
+	cand    []uint64  // CC: least inbox label per slot (MaxUint64: none)
+	sum     []float64 // PageRank: inbox contribution sum per slot
+	lastSrc int       // source partition of the last run folded
 }
 
 // workerHost is the daemon's state machine: hosted partitions plus the
-// pending (computed, uncommitted) updates of the last StepReq. Ctrl
+// pending (computed, uncommitted) attempt of the last StepReq. Ctrl
 // RPCs are serialized, but data-plane streams run concurrently with
 // them (and with each other), so every state access takes mu; streams
 // hold it only while snapshotting or applying a bounded chunk, never
@@ -394,11 +400,19 @@ type workerHost struct {
 	numParts int
 	totalN   int
 	damping  float64
+	partOf   []int32 // dense vertex index -> partition
+	slot     []int32 // dense vertex index -> slot, for hosted partitions
 
 	parts       map[int]*partition
-	pending     map[int]map[uint64]VertexVal
+	pending     bool
 	pendingStep int
-	out         outbox
+
+	// The superstep kernel: exec's combiner folds each source
+	// partition's messages per destination vertex, and byPart files
+	// the result per destination partition.
+	labels exec.Combiner[uint64]
+	ranks  exec.Combiner[float64]
+	byPart []MsgRun
 
 	// Idempotence cache: the last applied request token and its
 	// response. Ctrl RPCs are serialized, so depth one is exact — a
@@ -448,7 +462,7 @@ func (h *workerHost) handle(req any) any {
 	case CommitReq:
 		err = h.commit(r)
 	case AbortReq:
-		h.pending = nil
+		h.abort()
 	case FetchReq:
 		var resp *FetchResp
 		if resp, err = h.fetch(r); err == nil {
@@ -459,7 +473,7 @@ func (h *workerHost) handle(req any) any {
 	case ClearReq:
 		err = h.clear(r.Parts)
 	case ResetReq:
-		h.pending = nil
+		h.abort()
 		for p := range h.parts {
 			h.clear([]int{p})
 		}
@@ -472,23 +486,104 @@ func (h *workerHost) handle(req any) any {
 	return OKResp{}
 }
 
+// checkLoad validates a LoadReq before anything is installed: the kind
+// and counts are sane, every index is in range, each listed partition
+// is exactly the ascending set of vertices PartOf assigns it, and its
+// degrees account for its targets.
+func checkLoad(r LoadReq) error {
+	if r.Kind != KindCC && r.Kind != KindPageRank {
+		return fmt.Errorf("unknown algorithm kind %q", r.Kind)
+	}
+	if r.NumPartitions < 1 || r.NumPartitions > maxPartitions {
+		return fmt.Errorf("%d partitions, want 1 to %d", r.NumPartitions, maxPartitions)
+	}
+	if len(r.PartOf) != r.TotalVertices {
+		return fmt.Errorf("PartOf has %d entries for %d vertices", len(r.PartOf), r.TotalVertices)
+	}
+	sizes := make([]int, r.NumPartitions)
+	for v, p := range r.PartOf {
+		if p < 0 || int(p) >= r.NumPartitions {
+			return fmt.Errorf("PartOf[%d] = %d, outside the %d partitions", v, p, r.NumPartitions)
+		}
+		sizes[p]++
+	}
+	for _, pd := range r.Parts {
+		if pd.Part < 0 || pd.Part >= r.NumPartitions {
+			return fmt.Errorf("partition %d, outside the %d partitions", pd.Part, r.NumPartitions)
+		}
+		if len(pd.Owned) != sizes[pd.Part] || len(pd.Degrees) != len(pd.Owned) {
+			return fmt.Errorf("partition %d lists %d vertices and %d degrees; PartOf assigns it %d vertices",
+				pd.Part, len(pd.Owned), len(pd.Degrees), sizes[pd.Part])
+		}
+		for s, v := range pd.Owned {
+			if v < 0 || int(v) >= r.TotalVertices || r.PartOf[v] != int32(pd.Part) {
+				return fmt.Errorf("partition %d lists vertex %d, which PartOf does not assign it", pd.Part, v)
+			}
+			if s > 0 && v <= pd.Owned[s-1] {
+				return fmt.Errorf("partition %d lists its vertices out of order at slot %d", pd.Part, s)
+			}
+		}
+		edges := 0
+		for _, deg := range pd.Degrees {
+			if deg < 0 {
+				return fmt.Errorf("partition %d has a negative degree", pd.Part)
+			}
+			edges += int(deg)
+		}
+		if edges != len(pd.Targets) {
+			return fmt.Errorf("partition %d: degrees sum to %d, but %d targets follow", pd.Part, edges, len(pd.Targets))
+		}
+		for _, t := range pd.Targets {
+			if t < 0 || int(t) >= r.TotalVertices {
+				return fmt.Errorf("partition %d has an edge to vertex %d, outside the %d vertices", pd.Part, t, r.TotalVertices)
+			}
+		}
+	}
+	return nil
+}
+
 // load installs (or re-installs) partitions with superstep-zero state.
 func (h *workerHost) load(r LoadReq) error {
+	if err := checkLoad(r); err != nil {
+		return err
+	}
 	if h.parts == nil {
 		h.job, h.kind = r.Job, r.Kind
 		h.numParts, h.totalN, h.damping = r.NumPartitions, r.TotalVertices, r.Damping
+		h.partOf = r.PartOf
+		h.slot = make([]int32, r.TotalVertices)
 		h.parts = make(map[int]*partition)
-	} else if h.job != r.Job || h.kind != r.Kind || h.numParts != r.NumPartitions {
+		h.byPart = make([]MsgRun, r.NumPartitions)
+		if r.Kind == KindCC {
+			h.labels.Reserve(r.TotalVertices)
+		} else {
+			h.ranks.Reserve(r.TotalVertices)
+			h.ranks.Fold = exec.FoldSum
+		}
+	} else if h.job != r.Job || h.kind != r.Kind || h.numParts != r.NumPartitions || !slices.Equal(h.partOf, r.PartOf) {
 		return fmt.Errorf("load for job %s/%s/%d conflicts with hosted %s/%s/%d",
 			r.Job, r.Kind, r.NumPartitions, h.job, h.kind, h.numParts)
 	}
 	for _, pd := range r.Parts {
-		part := &partition{verts: make(map[uint64]*vertexState, len(pd.Vertices))}
-		for _, va := range pd.Vertices {
-			part.order = append(part.order, va.ID)
-			part.verts[va.ID] = &vertexState{out: va.Out}
+		n := len(pd.Owned)
+		part := &partition{
+			owned:   pd.Owned,
+			offsets: make([]int32, n+1),
+			targets: pd.Targets,
+			state:   make([]uint64, n),
+			next:    make([]uint64, n),
 		}
-		sort.Slice(part.order, func(i, j int) bool { return part.order[i] < part.order[j] })
+		for s, deg := range pd.Degrees {
+			part.offsets[s+1] = part.offsets[s] + deg
+		}
+		for s, v := range pd.Owned {
+			h.slot[v] = int32(s)
+		}
+		if h.kind == KindCC {
+			part.cand = make([]uint64, n)
+		} else {
+			part.sum = make([]float64, n)
+		}
 		h.parts[pd.Part] = part
 		h.initPartition(part)
 	}
@@ -496,11 +591,16 @@ func (h *workerHost) load(r LoadReq) error {
 }
 
 // initPartition sets superstep-zero state: CC labels each vertex with
-// its own ID, PageRank starts from the uniform distribution.
+// its own dense index, PageRank starts from the uniform distribution.
 func (h *workerHost) initPartition(part *partition) {
-	for id, v := range part.verts {
-		v.label = id
-		v.rank = 1 / float64(h.totalN)
+	part.stepped = false
+	rank := math.Float64bits(1 / float64(h.totalN))
+	for s, v := range part.owned {
+		if h.kind == KindCC {
+			part.state[s] = uint64(v)
+		} else {
+			part.state[s] = rank
+		}
 	}
 }
 
@@ -514,245 +614,167 @@ func (h *workerHost) partIDs() []int {
 	return ids
 }
 
-// outbox combines outgoing messages at the sender. Messages from one
-// source partition are folded per destination vertex — the least
-// label for CC, the sum of rank contributions in vertex-scan order for
-// PageRank — so the combined messages, and every float sum, depend on
-// the partitioning alone, never on which worker hosts which partition.
-// Each source partition's result is filed as one Dst-ascending run per
-// destination partition; grouped merges the runs of all hosted source
-// partitions.
-type outbox struct {
-	sum     bool
-	at      map[uint64]int // Dst -> index in pending
-	pending []Msg
-	runs    [][][]Msg
+// step computes one superstep attempt without applying it: each hosted
+// partition's new state goes to its next column, awaiting CommitReq or
+// AbortReq. The inbox is folded first; then every hosted partition, in
+// ascending order, runs the kernel over its slots and drains its
+// combined messages into one run per destination partition.
+func (h *workerHost) step(r StepReq) (*StepResp, error) {
+	if h.parts == nil {
+		return nil, fmt.Errorf("step before load")
+	}
+	h.abort()
+	if err := h.foldInbox(r.Inbox); err != nil {
+		return nil, err
+	}
+	resp := &StepResp{}
+	for _, p := range h.partIDs() {
+		part := h.parts[p]
+		if h.kind == KindCC {
+			h.stepCC(part, r.Rescatter, resp)
+			resp.Outbox = drainRuns(&h.labels, h, p, func(v uint64) uint64 { return v }, resp.Outbox)
+		} else {
+			resp.Sums = append(resp.Sums, h.stepPR(part, p, r, resp))
+			resp.Outbox = drainRuns(&h.ranks, h, p, math.Float64bits, resp.Outbox)
+		}
+		part.stepped = true
+	}
+	resp.Folded = h.kind == KindPageRank && !r.Rescatter
+	h.pending, h.pendingStep = true, r.Superstep
+	return resp, nil
 }
 
-// reset readies the outbox for one superstep over the hosted
-// partitions, dropping whatever a failed attempt left unflushed.
-func (o *outbox) reset(h *workerHost) {
-	o.sum = h.kind == KindPageRank
-	o.runs = make([][][]Msg, h.numParts)
-	if o.at == nil {
-		o.at = make(map[uint64]int)
+// foldInbox folds the inbox runs into each hosted partition's scratch:
+// the least label per slot for CC, the contribution sum for PageRank
+// in ascending source-partition order, so every float sum is a function
+// of the partitioning alone. A run for a partition not hosted here, out
+// of source order, with ragged columns or with a Dst its partition does
+// not own fails the step.
+func (h *workerHost) foldInbox(inbox []MsgRun) error {
+	for _, part := range h.parts {
+		part.lastSrc = -1
+		for s := range part.cand {
+			part.cand[s] = math.MaxUint64
+		}
+		clear(part.sum)
 	}
-	clear(o.at)
-	o.pending = o.pending[:0]
-}
-
-// add folds one message into the current source partition's set.
-func (o *outbox) add(m Msg) {
-	i, ok := o.at[m.Dst]
-	switch {
-	case !ok:
-		o.at[m.Dst] = len(o.pending)
-		o.pending = append(o.pending, m)
-	case o.sum:
-		o.pending[i].Rank += m.Rank
-	case m.Label < o.pending[i].Label:
-		o.pending[i].Label = m.Label
-	}
-}
-
-// flush ends the current source partition: its combined messages
-// become one Dst-ascending run per destination partition.
-func (o *outbox) flush() {
-	byPart := make([][]Msg, len(o.runs))
-	for _, m := range o.pending {
-		p := graph.Partition(graph.VertexID(m.Dst), len(o.runs))
-		byPart[p] = append(byPart[p], m)
-	}
-	for p, run := range byPart {
-		if len(run) > 0 {
-			slices.SortFunc(run, func(a, b Msg) int { return cmp.Compare(a.Dst, b.Dst) })
-			o.runs[p] = append(o.runs[p], run)
+	for _, run := range inbox {
+		part := h.parts[run.Part]
+		if part == nil {
+			return fmt.Errorf("inbox for partition %d, which is not hosted here", run.Part)
+		}
+		if run.Src <= part.lastSrc || len(run.Dst) != len(run.Val) {
+			return fmt.Errorf("inbox run from partition %d to %d is out of source order or ragged", run.Src, run.Part)
+		}
+		part.lastSrc = run.Src
+		for i, dst := range run.Dst {
+			if dst < 0 || int(dst) >= h.totalN || h.partOf[dst] != int32(run.Part) {
+				return fmt.Errorf("inbox for vertex %d, which partition %d does not hold", dst, run.Part)
+			}
+			s := h.slot[dst]
+			if part.cand != nil {
+				part.cand[s] = min(part.cand[s], run.Val[i])
+			} else {
+				part.sum[s] += math.Float64frombits(run.Val[i])
+			}
 		}
 	}
-	clear(o.at)
-	o.pending = o.pending[:0]
+	return nil
 }
 
-// grouped merges each destination partition's runs, partitions in
-// ascending order.
-func (o *outbox) grouped() []PartMsgs {
-	var out []PartMsgs
-	for p, runs := range o.runs {
-		if len(runs) > 0 {
-			out = append(out, PartMsgs{Part: p, Msgs: mergeRuns(runs...)})
+// stepCC runs one Connected Components superstep over a partition:
+// optionally rescatter every current label, and lower each label whose
+// inbox candidate beats it, propagating the improvement. Integer min is
+// idempotent, so replaying a committed attempt is harmless.
+func (h *workerHost) stepCC(part *partition, rescatter bool, resp *StepResp) {
+	c := &h.labels
+	c.Offsets, c.Targets = part.offsets, part.targets
+	copy(part.next, part.state)
+	for s, label := range part.state {
+		if rescatter {
+			resp.Messages += c.Add(int32(s), label)
+		}
+		if cand := part.cand[s]; cand < label {
+			part.next[s] = cand
+			resp.Updates++
+			resp.Messages += c.Add(int32(s), cand)
+		}
+	}
+}
+
+// stepPR runs one PageRank superstep over partition p. A rescatter
+// step only re-emits contributions from current ranks (superstep
+// zero, compensation); a fold step computes every vertex's new rank
+// from its inbox sum plus the dangling share, then scatters it. The
+// new rank depends only on the inbox and global constants — not on the
+// vertex's own previous rank — so replaying a committed attempt with
+// the same inbox is idempotent. Sinks add their rank to the
+// partition's dangling mass.
+func (h *workerHost) stepPR(part *partition, p int, r StepReq, resp *StepResp) PartSums {
+	c := &h.ranks
+	c.Offsets, c.Targets = part.offsets, part.targets
+	n, d := float64(h.totalN), h.damping
+	sums := PartSums{Part: p}
+	for s, bits := range part.state {
+		rank := math.Float64frombits(bits)
+		if !r.Rescatter {
+			nv := (1-d)/n + d*(part.sum[s]+r.Dangling/n)
+			sums.L1 += math.Abs(nv - rank)
+			rank = nv
+			resp.Updates++
+		}
+		part.next[s] = math.Float64bits(rank)
+		if deg := part.offsets[s+1] - part.offsets[s]; deg == 0 {
+			sums.Dangling += rank
+		} else {
+			resp.Messages += c.Add(int32(s), rank/float64(deg))
+		}
+	}
+	return sums
+}
+
+// drainRuns drains source partition src's combined messages, ascending
+// by Dst, into one run per destination partition and appends the runs
+// to out in destination order.
+func drainRuns[V exec.ColValue](c *exec.Combiner[V], h *workerHost, src int, bits func(V) uint64, out []MsgRun) []MsgRun {
+	c.Drain(func(dst int32, val V) bool {
+		run := &h.byPart[h.partOf[dst]]
+		run.Dst = append(run.Dst, dst)
+		run.Val = append(run.Val, bits(val))
+		return true
+	})
+	for p, run := range h.byPart {
+		if len(run.Dst) > 0 {
+			out = append(out, MsgRun{Part: p, Src: src, Dst: run.Dst, Val: run.Val})
+			h.byPart[p] = MsgRun{}
 		}
 	}
 	return out
 }
 
-// step computes one superstep attempt without applying it: updates go
-// to h.pending, awaiting CommitReq or AbortReq.
-func (h *workerHost) step(r StepReq) (*StepResp, error) {
-	if h.parts == nil {
-		return nil, fmt.Errorf("step before load")
+// abort drops the pending attempt.
+func (h *workerHost) abort() {
+	for _, part := range h.parts {
+		part.stepped = false
 	}
-	h.pending = make(map[int]map[uint64]VertexVal)
-	h.pendingStep = r.Superstep
-	out := &h.out
-	out.reset(h)
-	resp := &StepResp{}
-	var err error
-	switch h.kind {
-	case KindCC:
-		err = h.stepCC(r, out, resp)
-	case KindPageRank:
-		err = h.stepPR(r, out, resp)
-	default:
-		err = fmt.Errorf("unknown algorithm kind %q", h.kind)
-	}
-	if err != nil {
-		h.pending = nil
-		return nil, err
-	}
-	resp.Outbox = out.grouped()
-	return resp, nil
+	h.pending = false
 }
 
-// inboxVertex resolves one inbox message's target vertex, enforcing
-// that routing and ownership agree.
-func (h *workerHost) inboxVertex(part int, dst uint64) (*vertexState, error) {
-	p := h.parts[part]
-	if p == nil {
-		return nil, fmt.Errorf("inbox for partition %d, which is not hosted here", part)
-	}
-	v := p.verts[dst]
-	if v == nil {
-		return nil, fmt.Errorf("inbox for vertex %d, which partition %d does not hold", dst, part)
-	}
-	return v, nil
-}
-
-// stepCC runs one Connected Components superstep: fold candidate
-// labels from the inbox (integer min — idempotent, so replaying a
-// committed attempt is harmless), optionally rescatter every current
-// label, and propagate improvements.
-func (h *workerHost) stepCC(r StepReq, out *outbox, resp *StepResp) error {
-	cand := make(map[uint64]uint64)
-	for _, pm := range r.Inbox {
-		for _, m := range pm.Msgs {
-			if _, err := h.inboxVertex(pm.Part, m.Dst); err != nil {
-				return err
-			}
-			if cur, ok := cand[m.Dst]; !ok || m.Label < cur {
-				cand[m.Dst] = m.Label
-			}
-		}
-	}
-	for _, p := range h.partIDs() {
-		part := h.parts[p]
-		for _, id := range part.order {
-			v := part.verts[id]
-			if r.Rescatter {
-				for _, dst := range v.out {
-					out.add(Msg{Dst: dst, Label: v.label})
-					resp.Messages++
-				}
-			}
-			if c, ok := cand[id]; ok && c < v.label {
-				h.setPending(p, VertexVal{ID: id, Label: c, Rank: v.rank})
-				resp.Updates++
-				for _, dst := range v.out {
-					out.add(Msg{Dst: dst, Label: c})
-					resp.Messages++
-				}
-			}
-		}
-		out.flush()
-	}
-	return nil
-}
-
-// stepPR runs one PageRank superstep. A rescatter step only re-emits
-// contributions from current ranks (superstep zero, compensation); a
-// fold step computes every vertex's new rank from the inbox sums plus
-// the dangling share, then scatters the new contributions. The new
-// rank depends only on the inbox and global constants — not on the
-// vertex's own previous rank — so replaying a committed attempt with
-// the same inbox is idempotent.
-func (h *workerHost) stepPR(r StepReq, out *outbox, resp *StepResp) error {
-	n := float64(h.totalN)
-	if r.Rescatter {
-		for _, p := range h.partIDs() {
-			part := h.parts[p]
-			for _, id := range part.order {
-				v := part.verts[id]
-				h.scatterRank(v, v.rank, out, resp)
-			}
-			out.flush()
-		}
-		return nil
-	}
-	sum := make(map[uint64]float64)
-	for _, pm := range r.Inbox {
-		for _, m := range pm.Msgs {
-			if _, err := h.inboxVertex(pm.Part, m.Dst); err != nil {
-				return err
-			}
-			sum[m.Dst] += m.Rank
-		}
-	}
-	d := h.damping
-	for _, p := range h.partIDs() {
-		part := h.parts[p]
-		for _, id := range part.order {
-			v := part.verts[id]
-			nv := (1-d)/n + d*(sum[id]+r.Dangling/n)
-			resp.L1 += math.Abs(nv - v.rank)
-			h.setPending(p, VertexVal{ID: id, Label: v.label, Rank: nv})
-			resp.Updates++
-			h.scatterRank(v, nv, out, resp)
-		}
-		out.flush()
-	}
-	resp.Folded = true
-	return nil
-}
-
-// scatterRank emits rank/outdegree to every out-neighbor, or collects
-// the whole rank as dangling mass for sinks.
-func (h *workerHost) scatterRank(v *vertexState, rank float64, out *outbox, resp *StepResp) {
-	if len(v.out) == 0 {
-		resp.Dangling += rank
-		return
-	}
-	share := rank / float64(len(v.out))
-	for _, dst := range v.out {
-		out.add(Msg{Dst: dst, Rank: share})
-		resp.Messages++
-	}
-}
-
-func (h *workerHost) setPending(part int, val VertexVal) {
-	m := h.pending[part]
-	if m == nil {
-		m = make(map[uint64]VertexVal)
-		h.pending[part] = m
-	}
-	m[val.ID] = val
-}
-
-// commit applies the pending updates of the last StepReq.
+// commit applies the pending attempt of the last StepReq.
 func (h *workerHost) commit(r CommitReq) error {
-	if h.pending != nil && h.pendingStep != r.Superstep {
+	if h.pending && h.pendingStep != r.Superstep {
 		return fmt.Errorf("commit for superstep %d, pending is for %d", r.Superstep, h.pendingStep)
 	}
-	for p, vals := range h.pending {
-		part := h.parts[p]
-		for id, val := range vals {
-			v := part.verts[id]
-			v.label, v.rank = val.Label, val.Rank
+	for _, part := range h.parts {
+		if part.stepped {
+			part.state, part.next = part.next, part.state
 		}
 	}
-	h.pending = nil
+	h.abort()
 	return nil
 }
 
-// fetch reads committed partition state, vertices in ascending order.
+// fetch copies out committed partition state.
 func (h *workerHost) fetch(r FetchReq) (*FetchResp, error) {
 	resp := &FetchResp{}
 	for _, p := range r.Parts {
@@ -760,30 +782,29 @@ func (h *workerHost) fetch(r FetchReq) (*FetchResp, error) {
 		if part == nil {
 			return nil, fmt.Errorf("fetch of partition %d, which is not hosted here", p)
 		}
-		ps := PartState{Part: p, Vertices: make([]VertexVal, 0, len(part.order))}
-		for _, id := range part.order {
-			v := part.verts[id]
-			ps.Vertices = append(ps.Vertices, VertexVal{ID: id, Label: v.label, Rank: v.rank})
-		}
-		resp.Parts = append(resp.Parts, ps)
+		resp.Parts = append(resp.Parts, PartState{Part: p, Vals: slices.Clone(part.state)})
 	}
 	return resp, nil
 }
 
-// restore overwrites partition state from a snapshot or migration.
+// restore overwrites partition state from a snapshot or migration. It
+// checks every fragment before writing any, and a restored partition
+// drops its pending attempt.
 func (h *workerHost) restore(r RestoreReq) error {
 	for _, ps := range r.Parts {
 		part := h.parts[ps.Part]
 		if part == nil {
 			return fmt.Errorf("restore of partition %d, which is not hosted here", ps.Part)
 		}
-		for _, val := range ps.Vertices {
-			v := part.verts[val.ID]
-			if v == nil {
-				return fmt.Errorf("restore of vertex %d, which partition %d does not hold", val.ID, ps.Part)
-			}
-			v.label, v.rank = val.Label, val.Rank
+		if ps.First < 0 || ps.First > len(part.state)-len(ps.Vals) {
+			return fmt.Errorf("restore of slots %d to %d of partition %d, which has %d",
+				ps.First, ps.First+len(ps.Vals), ps.Part, len(part.state))
 		}
+	}
+	for _, ps := range r.Parts {
+		part := h.parts[ps.Part]
+		copy(part.state[ps.First:], ps.Vals)
+		part.stepped = false
 	}
 	return nil
 }

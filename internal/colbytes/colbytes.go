@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrTruncated reports a read past the end of the buffer — a corrupt
@@ -214,9 +215,11 @@ func (r *Reader) Raw(n int, context string) []byte {
 }
 
 // U64s reads a uint64 column segment, appending to dst (pass nil for
-// a fresh slice, or a truncated slice to reuse capacity).
+// a fresh slice, or a truncated slice to reuse capacity). dst grows at
+// most once, to exactly the room the segment needs.
 func (r *Reader) U64s(dst []uint64) []uint64 {
 	n := r.colLen(8, "u64 column")
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, binary.LittleEndian.Uint64(r.b[8*i:]))
 	}
@@ -229,6 +232,7 @@ func (r *Reader) U64s(dst []uint64) []uint64 {
 // U32s reads a uint32 column segment, appending to dst.
 func (r *Reader) U32s(dst []uint32) []uint32 {
 	n := r.colLen(4, "u32 column")
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, binary.LittleEndian.Uint32(r.b[4*i:]))
 	}
@@ -241,6 +245,7 @@ func (r *Reader) U32s(dst []uint32) []uint32 {
 // I32s reads an int32 column segment, appending to dst.
 func (r *Reader) I32s(dst []int32) []int32 {
 	n := r.colLen(4, "i32 column")
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, int32(binary.LittleEndian.Uint32(r.b[4*i:])))
 	}
@@ -253,6 +258,7 @@ func (r *Reader) I32s(dst []int32) []int32 {
 // F64s reads a float64 column segment, appending to dst.
 func (r *Reader) F64s(dst []float64) []float64 {
 	n := r.colLen(8, "f64 column")
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:])))
 	}

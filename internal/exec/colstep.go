@@ -118,10 +118,8 @@ type ColEngine[V ColValue] struct {
 	seen    [][]bool
 	touched [][]int32
 	outVal  [][]V
-	// Local-fold scratch, per producing partition.
-	lacc     [][]V
-	lseen    [][]bool
-	ltouched [][]int32
+	// LocalFold combiners, one per producing partition.
+	comb []Combiner[V]
 }
 
 type colRun[V ColValue] struct {
@@ -210,9 +208,7 @@ func (e *ColEngine[V]) ensureScratch(p, nv int, local bool) {
 		e.seen = make([][]bool, n)
 		e.touched = make([][]int32, n)
 		e.outVal = make([][]V, n)
-		e.lacc = make([][]V, n)
-		e.lseen = make([][]bool, n)
-		e.ltouched = make([][]int32, n)
+		e.comb = make([]Combiner[V], n)
 	}
 	if len(e.acc) != p {
 		grow(p)
@@ -224,10 +220,8 @@ func (e *ColEngine[V]) ensureScratch(p, nv int, local bool) {
 			e.touched[i] = nil
 			e.outVal[i] = nil
 		}
-		if local && len(e.lacc[i]) != nv {
-			e.lacc[i] = make([]V, nv)
-			e.lseen[i] = make([]bool, nv)
-			e.ltouched[i] = nil
+		if local {
+			e.comb[i].Reserve(nv)
 		}
 	}
 }
@@ -300,7 +294,7 @@ func (e *ColEngine[V]) Run(step *ColStep[V], fi *FaultInjection) (ColStats, erro
 
 // expand is the producing half of partition part: it pulls source rows,
 // walks their CSR edge ranges and scatters messages into per-partition
-// batches (or the local fold scratch).
+// batches (under LocalFold, through the partition's Combiner first).
 func (r *colRun[V]) expand(part int) {
 	defer r.senders.Done()
 	defer func() {
@@ -347,63 +341,25 @@ func (r *colRun[V]) expand(part int) {
 		return true
 	}
 
-	var lacc []V
-	var lseen []bool
-	var ltouched []int32
+	var comb *Combiner[V]
 	if s.LocalFold {
-		lacc, lseen, ltouched = r.e.lacc[part], r.e.lseen[part], r.e.ltouched[part]
-		defer func() {
-			for _, i := range ltouched {
-				lseen[i] = false
-			}
-			r.e.ltouched[part] = ltouched[:0]
-		}()
-	}
-	foldLocal := func(dst int32, val V) {
-		if !lseen[dst] {
-			lseen[dst] = true
-			lacc[dst] = val
-			ltouched = append(ltouched, dst)
-			return
-		}
-		if s.Fold == FoldMin {
-			if val < lacc[dst] {
-				lacc[dst] = val
-			}
-		} else {
-			lacc[dst] += val
-		}
+		comb = &r.e.comb[part]
+		comb.Offsets, comb.Targets, comb.Weights = offsets, targets, weights
+		comb.Scale, comb.Expand, comb.Fold = s.Scale, s.Expand, s.Fold
+		defer comb.Reset()
 	}
 
-	// emit expands one source row over its contiguous edge range. The
-	// three expand kinds are separate tight loops so the per-edge path
-	// has no switch and no closure call.
+	// emit expands one source row over its contiguous edge range, into
+	// the combiner under LocalFold and straight into the batches
+	// otherwise. The three expand kinds are separate tight loops so the
+	// per-edge path has no switch and no closure call.
 	emit := func(src int32, val V) bool {
-		lo, hi := offsets[src], offsets[src+1]
-		messages += int64(hi - lo)
-		if s.LocalFold {
-			switch s.Expand {
-			case ExpandCopy:
-				for j := lo; j < hi; j++ {
-					foldLocal(targets[j], val)
-				}
-			case ExpandAddWeight:
-				if weights == nil {
-					for j := lo; j < hi; j++ {
-						foldLocal(targets[j], val+V(1))
-					}
-				} else {
-					for j := lo; j < hi; j++ {
-						foldLocal(targets[j], val+V(weights[j]))
-					}
-				}
-			case ExpandMulScale:
-				for j := lo; j < hi; j++ {
-					foldLocal(targets[j], val*V(s.Scale[j]))
-				}
-			}
+		if comb != nil {
+			messages += comb.Add(src, val)
 			return !r.aborted.Load()
 		}
+		lo, hi := offsets[src], offsets[src+1]
+		messages += int64(hi - lo)
 		switch s.Expand {
 		case ExpandCopy:
 			for j := lo; j < hi; j++ {
@@ -444,18 +400,9 @@ func (r *colRun[V]) expand(part int) {
 		abort()
 		return
 	}
-	if s.LocalFold {
-		// Emission order of folded rows is made deterministic by
-		// sorting the touched set; sums within a destination are
-		// already folded, so this fixes the exchange byte stream for a
-		// given input.
-		sort.Slice(ltouched, func(i, j int) bool { return ltouched[i] < ltouched[j] })
-		for _, dst := range ltouched {
-			if !deliver(dst, lacc[dst]) {
-				abort()
-				return
-			}
-		}
+	if comb != nil && !comb.Drain(deliver) {
+		abort()
+		return
 	}
 	for i, bp := range bufs {
 		if bp == nil {
